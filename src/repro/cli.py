@@ -580,51 +580,59 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.makedirs(parent, exist_ok=True)
     _LOG.info("running %s with %s", args.command, config)
 
-    with track_memory(args.track_memory):
-        try:
-            with profile(args.profile):
-                if args.command == "all":
-                    for name, runner in EXPERIMENTS.items():
-                        print(f"\n### {name} ###")
-                        with span(f"experiment.{name}"):
-                            runner(config)
+    try:
+        with track_memory(args.track_memory):
+            try:
+                with profile(args.profile):
+                    if args.command == "all":
+                        for name, runner in EXPERIMENTS.items():
+                            print(f"\n### {name} ###")
+                            with span(f"experiment.{name}"):
+                                runner(config)
+                    else:
+                        with span(f"experiment.{args.command}"):
+                            EXPERIMENTS[args.command](config)
+            finally:
+                if live_bus is not None:
+                    live_bus.disable_live()
+
+            if args.metrics_out:
+                if args.metrics_format == "openmetrics":
+                    from repro.obs.expose import write_openmetrics
+
+                    text = write_openmetrics(args.metrics_out)
+                    _LOG.info(
+                        "openmetrics exposition written to %s (%d lines)",
+                        args.metrics_out, text.count("\n"),
+                    )
                 else:
-                    with span(f"experiment.{args.command}"):
-                        EXPERIMENTS[args.command](config)
-        finally:
-            if live_bus is not None:
-                live_bus.disable_live()
+                    report = write_run_report(
+                        args.metrics_out, command=args.command, config=config
+                    )
+                    _LOG.info(
+                        "run report written to %s (%d spans, %d counters, "
+                        "%d timeline events)",
+                        args.metrics_out, len(report["spans"]),
+                        len(report["metrics"]["counters"]),
+                        len(report["timeline"]["events"]),
+                    )
+        if args.trace_out:
+            from repro.obs.export import write_chrome_trace
 
-        if args.metrics_out:
-            if args.metrics_format == "openmetrics":
-                from repro.obs.expose import write_openmetrics
+            document = write_chrome_trace(args.trace_out)
+            _LOG.info(
+                "chrome trace written to %s (%d events)",
+                args.trace_out, len(document["traceEvents"]),
+            )
+        if args.profile:
+            _LOG.info("profile written to %s", args.profile)
+    finally:
+        # Join the worker pool and unlink the shared-memory segments the
+        # run published; left to interpreter exit they trip the resource
+        # tracker's leaked-segment warning.
+        from repro.experiments.common import default_context
 
-                text = write_openmetrics(args.metrics_out)
-                _LOG.info(
-                    "openmetrics exposition written to %s (%d lines)",
-                    args.metrics_out, text.count("\n"),
-                )
-            else:
-                report = write_run_report(
-                    args.metrics_out, command=args.command, config=config
-                )
-                _LOG.info(
-                    "run report written to %s (%d spans, %d counters, "
-                    "%d timeline events)",
-                    args.metrics_out, len(report["spans"]),
-                    len(report["metrics"]["counters"]),
-                    len(report["timeline"]["events"]),
-                )
-    if args.trace_out:
-        from repro.obs.export import write_chrome_trace
-
-        document = write_chrome_trace(args.trace_out)
-        _LOG.info(
-            "chrome trace written to %s (%d events)",
-            args.trace_out, len(document["traceEvents"]),
-        )
-    if args.profile:
-        _LOG.info("profile written to %s", args.profile)
+        default_context().clear()
     return 0
 
 

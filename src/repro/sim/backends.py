@@ -3,7 +3,7 @@
 The kernel layer has exactly three inner loops worth compiling — the
 threshold+reduce slab comparison (:func:`repro.sim.kernels.iter_slabs`),
 the interval event-sweep accumulation
-(:func:`repro.sim.intervals.grouped_union_seconds`), and the subset
+(:meth:`repro.sim.intervals.EventStream.union_seconds`), and the subset
 popcount reduction (:class:`repro.sim.visibility.PackedVisibility` and the
 subset-query kernels).  Each is routed through a process-wide *backend*
 object so an optional compiled implementation (numba) can replace the
@@ -20,8 +20,11 @@ were chosen because identity is provable, not just observed:
   so there is no accumulation order to differ on;
 * ``or_popcount`` is pure integer arithmetic (bitwise OR + table lookup +
   integer sum) — exact in any evaluation order;
-* ``sweep_accumulate`` receives the *already lexsorted* event stream (the
-  sort stays in numpy so tie order is fixed once) and accumulates
+* ``sweep_accumulate`` receives an *already sorted* event stream — the
+  lexsort of :func:`~repro.sim.intervals.grouped_union_seconds`, or the
+  same order gathered by rank from a presorted
+  :class:`~repro.sim.intervals.EventStream` (the sort stays in numpy so
+  tie order is fixed once) — and accumulates
   inter-event float64 spans **in array order per group**, exactly the
   order ``np.bincount`` adds its weights — a sequential compiled loop
   performs the same additions in the same order.

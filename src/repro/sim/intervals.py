@@ -222,14 +222,20 @@ def grouped_union_seconds(
     groups: np.ndarray,
     n_groups: int,
 ) -> np.ndarray:
-    """Union measure per group via an exact +1/-1 event sweep.
+    """Union measure per group via an exact +1/-1 event sweep, one shot.
 
     Intervals need not be sorted or disjoint within a group.  The sweep
-    sorts events by (group, time), takes one global cumulative sum of the
-    deltas — each group's deltas sum to zero, so the count never carries
-    across group boundaries — and accumulates inter-event spans where the
-    running count is positive.  All arithmetic is on the original float64
-    endpoints; no coordinate shifting, so no precision loss at scale.
+    lexsorts this call's events by (group, time, delta), takes one global
+    cumulative sum of the deltas — each group's deltas sum to zero, so the
+    count never carries across group boundaries — and accumulates
+    inter-event spans where the running count is positive.  All arithmetic
+    is on the original float64 endpoints; no coordinate shifting, so no
+    precision loss at scale.
+
+    This is the reference formulation for ad-hoc interval lists.  The
+    :class:`ContactIntervals` subset reductions reach the same sorted
+    stream without sorting per call (see :class:`EventStream`) and are
+    bit-identical to calling this on their gathered windows.
     """
     k = int(starts.size)
     if k == 0:
@@ -247,6 +253,71 @@ def grouped_union_seconds(
     return backends.default_backend().sweep_accumulate(
         times[order], deltas[order], both[order], n_groups
     )
+
+
+class EventStream:
+    """Every window's rise and set event, sorted once by (group, time, delta).
+
+    The presorted twin of :func:`grouped_union_seconds` for a fixed window
+    list queried by many subsets.  ``times`` / ``deltas`` / ``groups`` hold
+    the ``2 * K`` events in the same key order that function's lexsort
+    uses; ``rise_rank[w]`` / ``set_rank[w]`` are the positions of window
+    ``w``'s two events in that order.
+
+    :meth:`union_seconds` answers a window subset by sorting the subset's
+    ranks (one integer sort) and gathering the events in rank order.  That
+    masked stream *is* the lexsorted stream of the subset: restricting a
+    sorted sequence keeps it sorted, and events tied on all three keys are
+    interchangeable.  The accumulation then adds the same spans in the same
+    per-group order, so the result is bit-identical to
+    :func:`grouped_union_seconds` over the same windows.
+
+    Layout per event: float64 time, int8 delta (widened only for the
+    sweep), the narrowest integer fitting the group ids, and an int32 rank.
+    """
+
+    __slots__ = ("times", "deltas", "groups", "rise_rank", "set_rank", "n_groups")
+
+    def __init__(
+        self,
+        rise_s: np.ndarray,
+        set_s: np.ndarray,
+        window_groups: np.ndarray,
+        n_groups: int,
+    ) -> None:
+        k = int(rise_s.size)
+        self.n_groups = int(n_groups)
+        times = np.concatenate([rise_s, set_s])
+        deltas = np.concatenate(
+            [np.ones(k, dtype=np.int8), -np.ones(k, dtype=np.int8)]
+        )
+        group_dtype = np.min_scalar_type(max(self.n_groups - 1, 0))
+        groups = np.concatenate([window_groups, window_groups]).astype(group_dtype)
+        order = np.lexsort((deltas, times, groups))
+        ranks = np.empty(2 * k, dtype=np.int32)
+        ranks[order] = np.arange(2 * k, dtype=np.int32)
+        self.times = times[order]
+        self.deltas = deltas[order]
+        self.groups = groups[order]
+        self.rise_rank = ranks[:k]
+        self.set_rank = ranks[k:]
+
+    def union_seconds(self, windows: np.ndarray) -> np.ndarray:
+        """Union measure per group over the given window indices.
+
+        Repeated windows are allowed: their events are tied on every key,
+        so the extra copies add only zero-length spans.
+        """
+        if windows.size == 0:
+            return np.zeros(self.n_groups, dtype=np.float64)
+        ranks = np.concatenate([self.rise_rank[windows], self.set_rank[windows]])
+        ranks.sort()
+        return backends.default_backend().sweep_accumulate(
+            self.times[ranks],
+            self.deltas[ranks].astype(np.int64),
+            self.groups[ranks],
+            self.n_groups,
+        )
 
 
 def sweep_count_steps(
@@ -292,6 +363,13 @@ class ContactIntervals:
     ``multiprocessing.shared_memory`` segment this object's owning context
     holds (see :func:`repro.runner.shared.ensure_shared_intervals`); it is
     process-local state and never pickles.
+
+    ``streams`` caches one :class:`EventStream` per grouping the subset
+    reductions use — ``"site"`` for :meth:`coverage_fractions`,
+    ``"satellite"`` for :meth:`satellite_active_fractions` — each built on
+    its first query.  Like ``segment`` it is process-local: it never
+    pickles and never enters a shared segment, so every worker, restricted
+    copy and unpickled copy sorts its own.
     """
 
     __slots__ = (
@@ -305,7 +383,11 @@ class ContactIntervals:
         "truncated_end",
         "pair_offsets",
         "segment",
+        "streams",
     )
+
+    #: Slots holding process-local state, left out of pickles.
+    _LOCAL_SLOTS = ("segment", "streams")
 
     def __init__(
         self,
@@ -329,6 +411,7 @@ class ContactIntervals:
         self.truncated_end = truncated_end
         self.pair_offsets = pair_offsets
         self.segment = None
+        self.streams = {}
         expected = self.n_sites * self.n_satellites + 1
         if pair_offsets.shape != (expected,):
             raise ValueError("pair_offsets length must be n_sites*n_sats + 1")
@@ -336,16 +419,18 @@ class ContactIntervals:
     def __getstate__(self):
         # Shared-memory segments are process-local handles; the pickle-copy
         # fallback of the parallel runner ships the arrays by value instead.
+        # Event streams are rebuilt on demand by whoever unpickles.
         return {
             name: getattr(self, name)
             for name in self.__slots__
-            if name != "segment"
+            if name not in self._LOCAL_SLOTS
         }
 
     def __setstate__(self, state) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self.segment = None
+        self.streams = {}
 
     @property
     def n_contacts(self) -> int:
@@ -381,23 +466,37 @@ class ContactIntervals:
         p = int(site_index) * self.n_satellites + int(sat_index)
         return slice(int(self.pair_offsets[p]), int(self.pair_offsets[p + 1]))
 
-    def _gather(self, pair_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR multi-row gather.
-
-        Returns ``(flat, rows)``: indices into the interval arrays for all
-        windows of the requested pairs, plus the row (position within
-        ``pair_ids``) each window came from.
-        """
+    def _gather(self, pair_ids: np.ndarray) -> np.ndarray:
+        """CSR multi-row gather: indices into the interval arrays of every
+        window of the requested pairs, pair by pair in ``pair_ids`` order."""
         first = self.pair_offsets[pair_ids]
         counts = self.pair_offsets[pair_ids + 1] - first
+        # Window j of the output lies in pair row r; it is window
+        # j - out_start[r] of that pair, so its index is
+        # (first[r] - out_start[r]) + j.
+        out_start = np.cumsum(counts) - counts
         total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        rows = np.repeat(np.arange(pair_ids.size, dtype=np.intp), counts)
-        cum = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.intp) - np.repeat(cum, counts)
-        flat = np.repeat(first, counts) + within
-        return flat, rows
+        return np.repeat(first - out_start, counts) + np.arange(total, dtype=np.intp)
+
+    def event_stream(self, grouping: str) -> EventStream:
+        """The pool-wide :class:`EventStream` grouped by ``"site"`` or
+        ``"satellite"``, sorted on first use and cached on this object."""
+        stream = self.streams.get(grouping)
+        if stream is not None:
+            return stream
+        pairs = np.repeat(
+            np.arange(self.n_sites * self.n_satellites, dtype=np.intp),
+            np.diff(self.pair_offsets),
+        )
+        if grouping == "site":
+            window_groups, n_groups = pairs // self.n_satellites, self.n_sites
+        elif grouping == "satellite":
+            window_groups, n_groups = pairs % self.n_satellites, self.n_satellites
+        else:
+            raise ValueError(f"unknown event grouping {grouping!r}")
+        stream = EventStream(self.rise_s, self.set_s, window_groups, n_groups)
+        self.streams[grouping] = stream
+        return stream
 
     # -- per-pair views ---------------------------------------------------
 
@@ -451,7 +550,7 @@ class ContactIntervals:
         if sats.size == 0:
             return IntervalSet.empty(self.start_s, self.end_s)
         pair_ids = int(site_index) * self.n_satellites + sats
-        flat, _ = self._gather(pair_ids)
+        flat = self._gather(pair_ids)
         return IntervalSet(
             self.rise_s[flat], self.set_s[flat], self.start_s, self.end_s
         )
@@ -462,7 +561,7 @@ class ContactIntervals:
         if sites.size == 0:
             return IntervalSet.empty(self.start_s, self.end_s)
         pair_ids = sites * self.n_satellites + int(sat_index)
-        flat, _ = self._gather(pair_ids)
+        flat = self._gather(pair_ids)
         return IntervalSet(
             self.rise_s[flat], self.set_s[flat], self.start_s, self.end_s
         )
@@ -474,30 +573,31 @@ class ContactIntervals:
             return np.zeros(self.n_sites)
         sites = np.arange(self.n_sites, dtype=np.intp)
         pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
-        flat, rows = self._gather(pair_ids)
-        groups = rows // sats.size  # row-major: site-major layout
-        seconds = grouped_union_seconds(
-            self.rise_s[flat], self.set_s[flat], groups, self.n_sites
-        )
+        flat = self._gather(pair_ids)
+        seconds = self.event_stream("site").union_seconds(flat)
         return seconds / self.span_s
 
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None
     ) -> np.ndarray:
-        """Fraction of the horizon each satellite serves >= 1 site."""
+        """Fraction of the horizon each satellite serves >= 1 site.
+
+        One entry per position of ``sat_indices``; a satellite listed
+        twice gets its fraction twice.
+        """
         sats = self._sat_array(sat_indices)
         sites = self._site_array(site_indices)
         if sats.size == 0:
             return np.zeros(0)
         if sites.size == 0 or self.span_s == 0.0:
             return np.zeros(sats.size)
+        # Group by pool satellite, then read each position's satellite: the
+        # group holds the events the one-shot sweep gives that position
+        # (a repeated satellite's copies add only zero-length spans).
         pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
-        flat, rows = self._gather(pair_ids)
-        groups = rows % sats.size  # satellite position within the subset
-        seconds = grouped_union_seconds(
-            self.rise_s[flat], self.set_s[flat], groups, sats.size
-        )
-        return seconds / self.span_s
+        flat = self._gather(pair_ids)
+        seconds = self.event_stream("satellite").union_seconds(flat)
+        return seconds[sats] / self.span_s
 
     def visible_count_steps(
         self, site_index: int, sat_indices=None
@@ -507,7 +607,7 @@ class ContactIntervals:
         if sats.size == 0:
             return np.array([self.start_s]), np.zeros(1, dtype=np.int64)
         pair_ids = int(site_index) * self.n_satellites + sats
-        flat, _ = self._gather(pair_ids)
+        flat = self._gather(pair_ids)
         return sweep_count_steps(
             self.rise_s[flat], self.set_s[flat], self.start_s
         )
@@ -548,7 +648,7 @@ class ContactIntervals:
         sats = self._sat_array(sat_indices)
         sites = np.arange(self.n_sites, dtype=np.intp)
         pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
-        flat, _ = self._gather(pair_ids)
+        flat = self._gather(pair_ids)
         counts = self.pair_offsets[pair_ids + 1] - self.pair_offsets[pair_ids]
         offsets = np.zeros(pair_ids.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -571,11 +671,12 @@ class IntervalSubsetQuery:
     The event-sweep twin of
     :class:`repro.sim.kernels.subsets.SubsetQuery`: one
     :meth:`ContactIntervals.restrict` precompute shrinks the window
-    structure to the fleet under study, then arbitrary subsets are
-    answered by the incremental grouped sweep (through the active kernel
-    backend) over just those windows.  Query results are bit-identical to
-    calling the full :class:`ContactIntervals` reductions with the same
-    pool indices (see :meth:`ContactIntervals.restrict`).
+    structure to the fleet under study, and the restricted copy sorts its
+    events once per grouping on first query (:class:`EventStream`).  Each
+    subset is then a rank gather of just its windows' events plus one
+    grouped sweep (through the active kernel backend).  Query results are
+    bit-identical to calling the full :class:`ContactIntervals` reductions
+    with the same pool indices (see :meth:`ContactIntervals.restrict`).
 
     ``fleet`` is None for a pool-wide query (subset indices are raw pool
     indices, delegated without restriction).
@@ -838,6 +939,7 @@ def find_contact_intervals(
 __all__ = (
     "DEFAULT_EDGE_TOLERANCE_S",
     "ContactIntervals",
+    "EventStream",
     "IntervalSet",
     "find_contact_intervals",
     "grouped_union_seconds",

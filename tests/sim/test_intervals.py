@@ -299,6 +299,192 @@ class TestContactIntervalsReductions:
         )
 
 
+def _tied_contacts(seed: int, n_sites: int = 5, n_sats: int = 9) -> ContactIntervals:
+    """A random CSR on a coarse integer clock, so events tie exactly.
+
+    Rises and sets coincide across satellites and sites, and within a pair
+    consecutive windows may touch (``set == next rise``).  Site 1 has no
+    windows at all.
+    """
+    rng = np.random.default_rng(seed)
+    rises, sets, counts = [], [], []
+    for site in range(n_sites):
+        for _ in range(n_sats):
+            k = 0 if site == 1 else int(rng.integers(0, 4))
+            # Sorted draws with replacement from a small range: many ties,
+            # and equal neighbours make touching windows.
+            edges = np.sort(rng.integers(0, 12, size=2 * k)) * 10.0
+            rises.extend(edges[0::2])
+            sets.extend(edges[1::2])
+            counts.append(k)
+    offsets = np.zeros(n_sites * n_sats + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    n = len(rises)
+    return ContactIntervals(
+        n_sites=n_sites,
+        n_satellites=n_sats,
+        start_s=0.0,
+        end_s=120.0,
+        rise_s=np.array(rises, dtype=np.float64),
+        set_s=np.array(sets, dtype=np.float64),
+        truncated_start=np.zeros(n, dtype=bool),
+        truncated_end=np.zeros(n, dtype=bool),
+        pair_offsets=offsets,
+    )
+
+
+def _gather_with_rows(contacts, pair_ids):
+    """The windows of ``pair_ids`` plus the row each one came from."""
+    counts = np.diff(contacts.pair_offsets)[pair_ids]
+    rows = np.repeat(np.arange(pair_ids.size, dtype=np.intp), counts)
+    return contacts._gather(pair_ids), rows
+
+
+def _one_shot_coverage(contacts, sats):
+    """coverage_fractions as one grouped_union_seconds call, no presort."""
+    sats = np.asarray(sats, dtype=np.intp)
+    if sats.size == 0:
+        return np.zeros(contacts.n_sites)
+    sites = np.arange(contacts.n_sites, dtype=np.intp)
+    pair_ids = (sites[:, None] * contacts.n_satellites + sats[None, :]).ravel()
+    flat, rows = _gather_with_rows(contacts, pair_ids)
+    seconds = grouped_union_seconds(
+        contacts.rise_s[flat], contacts.set_s[flat], rows // sats.size,
+        contacts.n_sites,
+    )
+    return seconds / contacts.span_s
+
+
+def _one_shot_active(contacts, sats, sites):
+    """satellite_active_fractions with one group per subset position."""
+    sats = np.asarray(sats, dtype=np.intp)
+    sites = np.asarray(sites, dtype=np.intp)
+    if sites.size == 0:
+        return np.zeros(sats.size)
+    pair_ids = (sites[:, None] * contacts.n_satellites + sats[None, :]).ravel()
+    flat, rows = _gather_with_rows(contacts, pair_ids)
+    seconds = grouped_union_seconds(
+        contacts.rise_s[flat], contacts.set_s[flat], rows % sats.size,
+        sats.size,
+    )
+    return seconds / contacts.span_s
+
+
+class TestPresortedStreams:
+    """Rank-gathered subset sweeps are bit-equal to the one-shot lexsort."""
+
+    SUBSETS = (
+        [],
+        [4],
+        [8, 0, 5, 2],  # unsorted
+        [3, 3, 7, 3, 0],  # repeated
+        list(range(9)),
+        [6, 1, 6, 1],
+    )
+    SITE_SETS = ([], [0], [3, 0, 2], [1], [2, 2, 4], [0, 1, 2, 3, 4])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coverage_fractions_bit_equal(self, seed):
+        contacts = _tied_contacts(seed)
+        for subset in self.SUBSETS:
+            got = contacts.coverage_fractions(subset)
+            assert np.array_equal(got, _one_shot_coverage(contacts, subset)), subset
+            assert got[1] == 0.0  # the site without windows
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_satellite_active_fractions_bit_equal(self, seed):
+        contacts = _tied_contacts(seed)
+        for subset in self.SUBSETS:
+            for sites in self.SITE_SETS:
+                got = contacts.satellite_active_fractions(subset, sites)
+                want = _one_shot_active(contacts, subset, sites)
+                assert np.array_equal(got, want), (subset, sites)
+
+    def test_restricted_copy_bit_equal(self):
+        contacts = _tied_contacts(4)
+        fleet = np.array([1, 2, 4, 6, 8])
+        restricted = contacts.restrict(fleet)
+        assert restricted.streams == {}
+        for local in ([], [0, 4], [3, 1, 1], [4, 3, 2, 1, 0]):
+            pool = fleet[np.asarray(local, dtype=np.intp)]
+            assert np.array_equal(
+                restricted.coverage_fractions(local),
+                contacts.coverage_fractions(pool),
+            )
+            assert np.array_equal(
+                restricted.coverage_fractions(local),
+                _one_shot_coverage(contacts, pool),
+            )
+            assert np.array_equal(
+                restricted.satellite_active_fractions(local, [0, 3]),
+                _one_shot_active(contacts, pool, [0, 3]),
+            )
+
+    def test_streams_are_built_lazily_per_grouping(self):
+        contacts = _tied_contacts(0)
+        assert contacts.streams == {}
+        contacts.coverage_fractions([0, 1])
+        assert set(contacts.streams) == {"site"}
+        site = contacts.streams["site"]
+        contacts.coverage_fractions([2])
+        assert contacts.streams["site"] is site
+        contacts.satellite_active_fractions([0, 1])
+        assert set(contacts.streams) == {"site", "satellite"}
+        events = 2 * contacts.n_contacts
+        assert site.times.dtype == np.float64 and site.times.size == events
+        assert site.deltas.dtype == np.int8
+        assert site.groups.dtype == np.uint8
+        assert site.groups.size == events
+        assert site.rise_rank.dtype == site.set_rank.dtype == np.int32
+        assert site.rise_rank.size == site.set_rank.size == contacts.n_contacts
+        assert contacts.streams["satellite"].groups.dtype == np.uint8
+        with pytest.raises(ValueError):
+            contacts.event_stream("pair")
+
+    def test_pickle_ignores_warm_streams(self):
+        import pickle
+
+        contacts = _tied_contacts(2)
+        cold = pickle.dumps(contacts)
+        want = contacts.coverage_fractions([0, 3, 5])
+        contacts.satellite_active_fractions([1, 2])
+        assert set(contacts.streams) == {"site", "satellite"}
+        assert pickle.dumps(contacts) == cold
+        copy = pickle.loads(cold)
+        assert copy.streams == {}
+        assert np.array_equal(copy.coverage_fractions([0, 3, 5]), want)
+
+    def test_shared_memory_copy_starts_cold(self):
+        from repro.runner.shared import (
+            attach_contact_intervals,
+            share_contact_intervals,
+            unlink_shared_visibility,
+        )
+
+        contacts = _tied_contacts(5)
+        subsets = ([0, 3, 5], [8, 8, 1], list(range(9)))
+        coverage = [contacts.coverage_fractions(s) for s in subsets]
+        active = [contacts.satellite_active_fractions(s, [0, 4]) for s in subsets]
+        segment, handle = share_contact_intervals(contacts)
+        try:
+            attached_segment, attached = attach_contact_intervals(handle)
+            try:
+                assert attached.streams == {}
+                for subset, want_cov, want_act in zip(subsets, coverage, active):
+                    assert np.array_equal(
+                        attached.coverage_fractions(subset), want_cov
+                    )
+                    assert np.array_equal(
+                        attached.satellite_active_fractions(subset, [0, 4]),
+                        want_act,
+                    )
+            finally:
+                del attached
+                attached_segment.close()
+        finally:
+            unlink_shared_visibility(segment)
+
+
 class TestUnitPositionsAt:
     """Paired per-element evaluation against the full state matrix."""
 

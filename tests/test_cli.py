@@ -450,3 +450,27 @@ class TestTraceOut:
         ) == 0
         out = capsys.readouterr().out
         assert "REGRESSION" in out
+
+
+class TestTeardown:
+    def test_parallel_run_leaves_no_shared_memory_behind(self):
+        """The CLI unlinks the segments it published before exiting."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "fig2", "--runs", "2",
+                "--parallel", "2", "--duration", "86400",
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "resource_tracker" not in result.stderr
+        assert "leaked shared_memory" not in result.stderr
