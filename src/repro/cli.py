@@ -294,15 +294,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "both engines sample identical satellite subsets",
     )
     parser.add_argument(
-        "--kernel-backend", default=None, choices=("numpy", "numba"),
-        metavar="NAME",
-        help="kernel backend for the hot reductions: 'numpy' (default) or "
-        "'numba' (JIT-compiled; requires numba installed); also settable "
-        "via the REPRO_KERNEL_BACKEND env var; an execution knob like "
-        "--engine — every backend is bit-identical by contract "
-        "(enforced by 'repro validate')",
-    )
-    parser.add_argument(
         "--log-level", default=None, metavar="LEVEL", type=str.upper,
         choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
         help="diagnostic log level: DEBUG, INFO, WARNING, ERROR, CRITICAL "
@@ -485,8 +476,7 @@ def _run_list() -> int:
     print()
     print(
         "common flags (every experiment): "
-        "--runs --step --seed --duration --parallel --chunk-size --engine "
-        "--kernel-backend"
+        "--runs --step --seed --duration --parallel --chunk-size --engine"
     )
     print("observability flags:")
     for flag, description in OBSERVABILITY_FLAGS:
@@ -553,17 +543,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.common import default_context
 
         default_context().engine = args.engine
-    if getattr(args, "kernel_backend", None):
-        # Same contract as --engine: backends change how the hot loops are
-        # executed, never what they compute (bit-identity is enforced by
-        # the oracle.backends validation check), so the choice stays out
-        # of ExperimentConfig and the golden config contract.
-        from repro.sim import backends
-
-        try:
-            backends.set_default_backend(args.kernel_backend)
-        except RuntimeError as error:  # e.g. numba not installed
-            parser.error(str(error))
     if getattr(args, "timeline_cap", None):
         from repro.obs import timeline as obs_timeline
 

@@ -27,18 +27,18 @@ contact-window arrays on the intervals engine — is exported once through
 :mod:`multiprocessing.shared_memory` (:mod:`repro.runner.shared`) and
 installed into each worker's
 :class:`~repro.experiments.common.ExperimentContext` at pool startup, so
-spawning N workers costs N page-table mappings, not N artifact pickles
-(on platforms without shared memory the intervals engine degrades to a
-pickle copy; results are identical either way).
+spawning N workers costs N page-table mappings, not N artifact pickles.
+A platform that refuses shared memory fails the parallel run with the
+``OSError`` on both engines.
 
 The pool itself is **persistent**: worker initialization installs world
-state only (config, shared tensor/windows, engine, kernel backend), and
-each task ships its scenario alongside the run indices, so one warm pool
-serves every scenario of a CLI invocation back to back
+state only (config, shared tensor/windows, engine), and each task ships
+its scenario alongside the run indices, so one warm pool serves every
+scenario of a CLI invocation back to back
 (:class:`~repro.runner.pool.PersistentPool`).  The pool is owned by the
 :class:`~repro.experiments.common.ExperimentContext` and torn down on
 ``context.clear()``, on worker loss, or when a run needs incompatible
-worker state (different config/engine/backend/world or live channel).
+worker state (different config/engine/world or live channel).
 
 Each repetition runs inside a worker-local observability capture: its span
 records, metric deltas, and simulation-timeline events travel back with the
@@ -90,7 +90,6 @@ from repro.obs.trace import span
 from repro.runner.pool import PersistentPool
 from repro.runner.scenario import RunContext, Scenario, run_rng
 from repro.runner.shared import (
-    PickledIntervalsFallback,
     SharedIntervalsHandle,
     SharedVisibilityHandle,
     attach_contact_intervals,
@@ -98,7 +97,6 @@ from repro.runner.shared import (
     ensure_shared_intervals,
     ensure_shared_visibility,
 )
-from repro.sim import backends
 
 _LOG = get_logger(__name__)
 
@@ -301,13 +299,13 @@ class MonteCarloRunner:
         """Everything that shapes worker-side state, as a reuse key.
 
         Two runs may share a warm pool only when their workers would have
-        been initialized identically: same engine, same kernel backend,
-        same config, same world-state cache entry (``None`` for scenarios
-        that never read the pool tensor), and — in live mode — the same
-        bus.  ``context.clear()`` disposes the pool, so a matching cache
-        key implies the workers' attached world state is still current.
+        been initialized identically: same engine, same config, same
+        world-state cache entry (``None`` for scenarios that never read the
+        pool tensor), and — in live mode — the same bus.
+        ``context.clear()`` disposes the pool, so a matching cache key
+        implies the workers' attached world state is still current.
         """
-        engine = getattr(self.context, "engine", ENGINE_GRID)
+        engine = self.context.engine
         world = (
             (engine, visibility_cache_key(self.config, POOL_SEED))
             if scenario.uses_pool
@@ -315,7 +313,6 @@ class MonteCarloRunner:
         )
         return (
             engine,
-            backends.default_backend_name(),
             self.config,
             POOL_SEED,
             world,
@@ -333,12 +330,8 @@ class MonteCarloRunner:
         next scenario of this invocation and die with ``context.clear()``.
         """
         key = self._pool_key(scenario, live)
-        existing = getattr(self.context, "worker_pool", None)
-        if (
-            existing is not None
-            and hasattr(existing, "compatible")
-            and existing.compatible(key, workers)
-        ):
+        existing = self.context.worker_pool
+        if existing is not None and existing.compatible(key, workers):
             _LOG.info(
                 "reusing warm pool (%d workers) for %s",
                 existing.workers, scenario.name,
@@ -347,11 +340,7 @@ class MonteCarloRunner:
         handle, segment = self._shared_handle(scenario)
         mp_context = _start_context()
         channel = self.bus.open_channel(mp_context) if live else None
-        initargs = (
-            self.config, handle, POOL_SEED,
-            getattr(self.context, "engine", ENGINE_GRID),
-            backends.default_backend_name(),
-        )
+        initargs = (self.config, handle, POOL_SEED, self.context.engine)
         if live:
             initargs = initargs + (channel, self.bus.heartbeat_s)
         pool = PersistentPool(
@@ -363,21 +352,18 @@ class MonteCarloRunner:
             segment=segment,
             channel=channel,
         )
-        adopt = getattr(self.context, "adopt_worker_pool", None)
-        if adopt is not None:
-            adopt(pool)
+        self.context.adopt_worker_pool(pool)
         return pool
 
     def _shared_handle(self, scenario: Scenario):
         """The shared-memory world-state handle for pool scenarios (or None).
 
         Engine-dependent: the grid engine exports the packed visibility
-        tensor, the intervals engine the CSR contact-window arrays (with a
-        pickle-copy fallback when shared memory is unavailable).
+        tensor, the intervals engine the CSR contact-window arrays.
         """
         if not scenario.uses_pool:
             return None, None
-        if getattr(self.context, "engine", ENGINE_GRID) == ENGINE_INTERVALS:
+        if self.context.engine == ENGINE_INTERVALS:
             return ensure_shared_intervals(self.context, self.config, POOL_SEED)
         # Cache-aware: on a miss the tensor is chunk-streamed straight
         # into a context-owned segment (no copy); ``segment`` is only
@@ -605,9 +591,6 @@ class MonteCarloRunner:
                 idle[frame.worker] = False
                 in_flight.setdefault(frame.worker, set()).add(tuple(task))
 
-    def _merge_payloads_compat(self, payloads):  # pragma: no cover
-        return self._merge_payloads(payloads)
-
 
 class _IncrementalMerger:
     """Reorder buffer: apply worker captures strictly in (point, run) order.
@@ -732,7 +715,6 @@ def _init_worker(
     handle: Any,
     pool_seed: int,
     engine: str = ENGINE_GRID,
-    backend: str = "numpy",
     channel: Optional[obs_bus.BusChannel] = None,
     heartbeat_s: float = obs_bus.DEFAULT_HEARTBEAT_S,
 ) -> None:
@@ -740,21 +722,18 @@ def _init_worker(
 
     World state **only** — no scenario, no sweep points: those ship with
     each task, so a persistent pool's workers serve any scenario against
-    this (config, engine, backend, world) without reinitialization.
+    this (config, engine, world) without reinitialization.
 
     ``handle`` selects what gets installed: a
     :class:`~repro.runner.shared.SharedVisibilityHandle` attaches the
     packed tensor, a :class:`~repro.runner.shared.SharedIntervalsHandle`
-    attaches the CSR contact windows (both zero-copy), and a
-    :class:`~repro.runner.shared.PickledIntervalsFallback` installs the
-    windows it carried by value.  ``backend`` replays the parent's kernel
-    backend selection (the env var only covers fork starts).  In live mode
+    attaches the CSR contact windows (both zero-copy), and None (a
+    scenario that never reads the pool) installs nothing.  In live mode
     (``channel`` given) the worker also announces itself on the bus —
     once per worker lifetime, however many scenarios it serves — and
     starts the daemon heartbeat thread.
     """
     global _WORKER
-    backends.set_default_backend(backend)
     context = ExperimentContext(engine=engine)
     segment = None
     if isinstance(handle, SharedVisibilityHandle):
@@ -763,8 +742,6 @@ def _init_worker(
     elif isinstance(handle, SharedIntervalsHandle):
         segment, contacts = attach_contact_intervals(handle)
         context.install_intervals(config, contacts, pool_seed=pool_seed)
-    elif isinstance(handle, PickledIntervalsFallback):
-        context.install_intervals(config, handle.contacts, pool_seed=pool_seed)
     publisher = None
     if channel is not None:
         publisher = obs_bus.WorkerPublisher(channel, f"worker-{os.getpid()}")

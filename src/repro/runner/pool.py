@@ -7,19 +7,19 @@ context initializations *per scenario*.  A multi-figure CLI invocation
 even though every scenario reads the same world state.
 
 :class:`PersistentPool` keeps the workers warm instead.  The pool is keyed
-by everything that shapes worker-side state — engine, kernel backend,
-experiment config, the world-state cache identity, and the live-telemetry
-channel — and the runner reuses it for as long as the key matches
-(:meth:`compatible`).  Workers are initialized once with world state only
-(the shared packed tensor or CSR contact windows); scenarios travel with
-each task, so the same workers serve fig2, fig5, and fig6 back to back.
+by everything that shapes worker-side state — engine, experiment config,
+the world-state cache identity, and the live-telemetry channel — and the
+runner reuses it for as long as the key matches (:meth:`compatible`).
+Workers are initialized once with world state only (the shared packed
+tensor or CSR contact windows); scenarios travel with each task, so the
+same workers serve fig2, fig5, and fig6 back to back.
 
 Ownership: the pool belongs to the :class:`~repro.experiments.common.
 ExperimentContext` that the runner executes against
 (``context.adopt_worker_pool``), so ``context.clear()`` tears the workers
-down along with the cached artifacts they map.  Disposal also releases the
-copy-fallback shared-memory segment and the live bus channel when the pool
-owns them.
+down along with the cached artifacts they map.  Disposal also releases a
+throwaway shared-memory copy of a heap-backed tensor and the live bus
+channel when the pool owns them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class PersistentPool:
 
     Args:
         key: Hashable description of the worker-side state (engine,
-            backend, config, world-state identity, live channel).  Reuse
+            config, world-state identity, live channel).  Reuse
             requires an exact match — anything that would change what
             ``_init_worker`` installed forces a respawn.
         workers: Process count.
@@ -47,8 +47,8 @@ class PersistentPool:
         initializer: Worker initializer (module-level, picklable).
         initargs: Its arguments.
         segment: A parent-owned shared-memory segment to release at
-            disposal (the copy-fallback path; None when the context owns
-            the segment).
+            disposal (a heap-backed tensor copied for this pool; None when
+            the context owns the segment).
         channel: The live-telemetry bus channel workers publish on (None
             in batch mode).  Closed at disposal.
     """

@@ -40,7 +40,6 @@ from typing import Any, List, Sequence
 import numpy as np
 
 from repro.experiments.common import (
-    ENGINE_GRID,
     ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
@@ -106,7 +105,7 @@ class RunContext:
     @property
     def engine(self) -> str:
         """The context's contact engine (``"grid"`` or ``"intervals"``)."""
-        return getattr(self.context, "engine", ENGINE_GRID)
+        return self.context.engine
 
     def pool_size(self) -> int:
         """Number of satellites in the sampling pool."""
@@ -139,7 +138,7 @@ class Scenario(abc.ABC):
     def prepare(self, context: ExperimentContext, config: ExperimentConfig) -> None:
         """Build shared artifacts before any kernel runs (parent process)."""
         if self.uses_pool:
-            if getattr(context, "engine", ENGINE_GRID) == ENGINE_INTERVALS:
+            if context.engine == ENGINE_INTERVALS:
                 context.contact_intervals(config)
             else:
                 context.visibility(config)

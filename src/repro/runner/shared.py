@@ -19,10 +19,10 @@ The intervals engine shares the same way: the five CSR arrays of a
 :class:`~repro.sim.intervals.ContactIntervals` (rise/set times, truncation
 flags, pair offsets) are packed back to back into ONE segment at fixed
 offsets (:func:`_intervals_layout`), and workers rebuild the object from
-zero-copy views (:func:`attach_contact_intervals`).  When shared memory is
-unavailable, :func:`ensure_shared_intervals` degrades to a
-:class:`PickledIntervalsFallback` that ships the windows by value through
-the pool initializer — correct either way, only startup cost differs.
+zero-copy views (:func:`attach_contact_intervals`).  Shared memory is the
+only transport: when the platform refuses a segment, the ``OSError``
+propagates out of :func:`ensure_shared_visibility` and
+:func:`ensure_shared_intervals` alike.
 """
 
 from __future__ import annotations
@@ -185,20 +185,6 @@ class SharedIntervalsHandle:
         return total
 
 
-@dataclass(frozen=True)
-class PickledIntervalsFallback:
-    """Pickle-copy fallback handle when shared memory is unavailable.
-
-    Carries the :class:`ContactIntervals` by value through the pool
-    initializer — each worker gets a private copy.  Windows are small
-    (tens of MB at megaconstellation scale vs ~100 MB+ for the packed
-    tensor), so the copy is an acceptable degradation, never a
-    correctness change.
-    """
-
-    contacts: ContactIntervals
-
-
 def _intervals_layout(n_sites: int, n_satellites: int, n_contacts: int):
     """Byte layout of one CSR-interval segment: {array: (offset, dtype, count)}.
 
@@ -299,8 +285,8 @@ def ensure_shared_intervals(
     context: ExperimentContext,
     config: ExperimentConfig,
     pool_seed: int = 0,
-):
-    """A shareable handle for the context's contact intervals.
+) -> Tuple[SharedIntervalsHandle, None]:
+    """A shared-memory handle for the context's contact intervals.
 
     Returns ``(handle, owned_segment)`` with the same caller contract as
     :func:`ensure_shared_visibility` (``owned_segment`` is always None
@@ -308,19 +294,13 @@ def ensure_shared_intervals(
     later runs against the same config reuse the mapping for free).  The
     cached object's CSR arrays are rebound onto the segment views, so the
     shared copy is the only resident one.  If the platform refuses shared
-    memory, degrades to a :class:`PickledIntervalsFallback`.
+    memory, the ``OSError`` propagates and the cached object is left
+    heap-backed (``segment`` None).
     """
     contacts = context.contact_intervals(config, pool_seed)
     if contacts.segment is not None:
         return _intervals_handle_for(contacts, contacts.segment.name), None
-    try:
-        segment, handle = share_contact_intervals(contacts)
-    except OSError as error:
-        _LOG.warning(
-            "shared memory unavailable (%s); pickling %d contact windows "
-            "to workers instead", error, contacts.n_contacts,
-        )
-        return PickledIntervalsFallback(contacts), None
+    segment, handle = share_contact_intervals(contacts)
     for name, view in _intervals_views(segment, handle).items():
         setattr(contacts, name, view)
     contacts.segment = segment

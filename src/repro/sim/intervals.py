@@ -43,7 +43,7 @@ from repro.obs.trace import span
 from repro.orbits.frames import gmst_rad
 from repro.ground.sites import GroundSite
 from repro.orbits.propagator import BatchPropagator
-from repro.sim import backends, kernels
+from repro.sim import kernels
 from repro.sim.clock import TimeGrid
 
 #: Default width to which each rise/set edge is narrowed (seconds).
@@ -216,6 +216,26 @@ class IntervalSet:
         return out
 
 
+def sweep_accumulate(
+    times: np.ndarray,
+    deltas: np.ndarray,
+    groups: np.ndarray,
+    n_groups: int,
+) -> np.ndarray:
+    """Accumulate covered seconds from a lexsorted +1/-1 event stream.
+
+    Inputs are already sorted by (group, time, delta); each group's deltas
+    sum to zero, so one global cumsum never carries a positive count
+    across a group boundary.  ``np.bincount`` adds the inter-event float64
+    spans in array order per group, so equal sorted streams give
+    bit-identical sums.
+    """
+    count = np.cumsum(deltas)
+    same = groups[1:] == groups[:-1]
+    covered = np.where(same & (count[:-1] > 0), times[1:] - times[:-1], 0.0)
+    return np.bincount(groups[:-1], weights=covered, minlength=n_groups)
+
+
 def grouped_union_seconds(
     starts: np.ndarray,
     stops: np.ndarray,
@@ -246,13 +266,7 @@ def grouped_union_seconds(
     )
     both = np.concatenate([groups, groups])
     order = np.lexsort((deltas, times, both))
-    # The sort stays here (one fixed tie order for every backend); only
-    # the accumulation over the sorted stream is backend-routed.  Every
-    # backend adds the same float64 spans in the same array order as
-    # np.bincount's weighted pass, so the sweep is bit-identical.
-    return backends.default_backend().sweep_accumulate(
-        times[order], deltas[order], both[order], n_groups
-    )
+    return sweep_accumulate(times[order], deltas[order], both[order], n_groups)
 
 
 class EventStream:
@@ -312,7 +326,7 @@ class EventStream:
             return np.zeros(self.n_groups, dtype=np.float64)
         ranks = np.concatenate([self.rise_rank[windows], self.set_rank[windows]])
         ranks.sort()
-        return backends.default_backend().sweep_accumulate(
+        return sweep_accumulate(
             self.times[ranks],
             self.deltas[ranks].astype(np.int64),
             self.groups[ranks],
@@ -417,9 +431,9 @@ class ContactIntervals:
             raise ValueError("pair_offsets length must be n_sites*n_sats + 1")
 
     def __getstate__(self):
-        # Shared-memory segments are process-local handles; the pickle-copy
-        # fallback of the parallel runner ships the arrays by value instead.
-        # Event streams are rebuilt on demand by whoever unpickles.
+        # Shared-memory segments are process-local handles; a pickled copy
+        # carries the arrays by value.  Event streams are rebuilt on demand
+        # by whoever unpickles.
         return {
             name: getattr(self, name)
             for name in self.__slots__
@@ -674,7 +688,7 @@ class IntervalSubsetQuery:
     structure to the fleet under study, and the restricted copy sorts its
     events once per grouping on first query (:class:`EventStream`).  Each
     subset is then a rank gather of just its windows' events plus one
-    grouped sweep (through the active kernel backend).  Query results are
+    grouped sweep (:func:`sweep_accumulate`).  Query results are
     bit-identical to calling the full :class:`ContactIntervals` reductions
     with the same pool indices (see :meth:`ContactIntervals.restrict`).
 

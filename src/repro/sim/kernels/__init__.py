@@ -29,11 +29,10 @@ tests/sim/test_kernels.py and the ``oracle.fused`` validation check):
 * chunking the time axis is bit-neutral: each time sample is an independent
   batched-GEMM slice (pinned by the chunk-invariance tests).
 
-The threshold compare itself is routed through :mod:`repro.sim.backends`
-(an elementwise ``>=``, so every admissible backend is bit-identical —
-the ``oracle.backends`` validation check enforces it).  Subset-query
-batch kernels over the packed tensor live in
-:mod:`repro.sim.kernels.subsets`.
+The threshold compare is an elementwise float64 ``>=``, and the packed
+subset reductions share one integer OR+popcount (:func:`or_popcount`,
+exact in any evaluation order).  Subset-query batch kernels over the
+packed tensor live in :mod:`repro.sim.kernels.subsets`.
 
 Geometric pair culling
 ----------------------
@@ -62,10 +61,27 @@ from repro.obs.trace import span
 from repro.orbits.frames import gmst_rad
 from repro.orbits.propagator import BatchPropagator
 from repro.ground.sites import GroundSite
-from repro.sim import backends
 from repro.sim.clock import TimeGrid
 
 _LOG = get_logger(__name__)
+
+#: Per-byte popcount lookup (shared with :mod:`repro.sim.visibility`).
+POPCOUNT_TABLE = np.array(
+    [bin(value).count("1") for value in range(256)], dtype=np.uint32
+)
+
+
+def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:
+    """OR-reduce packed uint8 rows over ``axis``, then popcount per row.
+
+    ``rows`` is ``(A, K, B)`` uint8; the reduction axis (0 or 1) is
+    collapsed and the surviving ``(rows, B)`` bytes are popcounted and
+    summed to int64 bit counts.  Callers guarantee a non-empty reduction
+    axis.
+    """
+    packed_or = np.bitwise_or.reduce(rows, axis=axis)
+    return POPCOUNT_TABLE[packed_or].sum(axis=1).astype(np.int64)
+
 
 #: Smallest default streaming chunk (time samples per slab).  The float64
 #: dot-product slab is the peak allocation — (S, N, chunk) · 8 bytes — so
@@ -463,9 +479,7 @@ def iter_slabs(plan: StreamPlan) -> Iterator[Tuple[int, np.ndarray]]:
             )
         site_units = plan.geometry.units_chunk(offset, chunk_times)
         dots = np.einsum("ntk,stk->snt", sat_units, site_units, optimize=True)
-        # Threshold+reduce via the active kernel backend; an elementwise
-        # float64 compare, so every admissible backend is bit-identical.
-        slab = backends.default_backend().threshold_slab(dots, thresholds)
+        slab = dots >= thresholds
         # Release the float64 slab before yielding: it is 8x the boolean
         # slab and would otherwise stay alive across the next chunk's
         # einsum, doubling the transient peak.

@@ -8,8 +8,7 @@ for geometry the queries never touch.  :class:`SubsetQuery` precomputes
 one per-(site, satellite) contribution structure, the packed bit rows of
 exactly the fleet under study, and then answers weighted-city coverage,
 idle capacity, and k-coverage for arbitrary subsets via
-popcount-on-masked-rows through the active kernel backend
-(:mod:`repro.sim.backends`).
+popcount-on-masked-rows (:func:`repro.sim.kernels.or_popcount`).
 
 Two construction paths, bit-identical by the kernel layer's contract:
 
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.orbits.propagator import BatchPropagator
-from repro.sim import backends
+from repro.sim import kernels
 from repro.sim.clock import TimeGrid
 from repro.sim.kernels import SiteGeometry, plan_stream, stream_packed_bits
 
@@ -151,7 +150,7 @@ class SubsetQuery:
         if local.size == 0:
             return np.zeros(self.n_sites)
         rows = self.packed[:, local, :]
-        counts = backends.default_backend().or_popcount(rows, axis=1)
+        counts = kernels.or_popcount(rows, axis=1)
         return counts / float(self.n_times)
 
     def satellite_active_fractions(
@@ -165,7 +164,7 @@ class SubsetQuery:
         rows = rows[:, local, :]
         if rows.shape[0] == 0 or rows.shape[1] == 0:
             return np.zeros(rows.shape[1])
-        counts = backends.default_backend().or_popcount(rows, axis=0)
+        counts = kernels.or_popcount(rows, axis=0)
         return counts / float(self.n_times)
 
     def visible_counts(self, site_index: int, subset=None) -> np.ndarray:

@@ -40,7 +40,7 @@ from repro.obs.trace import span
 from repro.orbits.elements import OrbitalElements
 from repro.orbits.propagator import BatchPropagator
 from repro.ground.sites import GroundSite
-from repro.sim import backends, kernels
+from repro.sim import kernels
 from repro.sim.clock import TimeGrid
 from repro.sim.kernels import (  # re-exported: the historical home of these
     SiteGeometry,
@@ -231,9 +231,9 @@ def visibility_matrix(
 
 
 #: Lookup table mapping a byte value to its popcount; used to count covered
-#: samples in packed masks without unpacking (shared with the backend
-#: registry, the historical home of the alias).
-_POPCOUNT = backends.POPCOUNT_TABLE
+#: samples in packed masks without unpacking (shared with
+#: :func:`repro.sim.kernels.or_popcount`).
+_POPCOUNT = kernels.POPCOUNT_TABLE
 
 
 class PackedVisibility:
@@ -313,7 +313,7 @@ class PackedVisibility:
         rows = self._subset(sat_indices)
         if rows.shape[1] == 0:
             return np.zeros(self.n_sites)
-        counts = backends.default_backend().or_popcount(rows, axis=1)
+        counts = kernels.or_popcount(rows, axis=1)
         return counts / float(self.n_times)
 
     def _subset2(self, sat_indices, site_indices) -> np.ndarray:
@@ -337,7 +337,7 @@ class PackedVisibility:
         rows = self._subset2(sat_indices, site_indices)
         if rows.shape[0] == 0 or rows.shape[1] == 0:
             return np.zeros(rows.shape[1])
-        counts = backends.default_backend().or_popcount(rows, axis=0)
+        counts = kernels.or_popcount(rows, axis=0)
         return counts / float(self.n_times)
 
     def satellite_masks(self, sat_indices=None, site_indices=None) -> np.ndarray:

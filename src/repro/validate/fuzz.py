@@ -32,8 +32,8 @@ The invariants are physics the figures silently rely on:
 * ``intervals_shm_roundtrip`` — exporting a random
   :class:`~repro.sim.intervals.ContactIntervals` into shared memory and
   attaching it back is bit-exact (offsets, times, flags), zero-copy
-  (attached arrays are segment views), and the pickle fallback never
-  ships a process-local segment handle.
+  (attached arrays are segment views), and a pickled copy never carries
+  a process-local segment handle.
 """
 
 from __future__ import annotations
@@ -350,8 +350,8 @@ def invariant_intervals_shm_roundtrip(rng: np.random.Generator) -> None:
                 assert roundtrip.base is not None, (
                     f"{name}: attached array is a copy, not a segment view"
                 )
-            # The pickle path (fallback transport) must ship values intact
-            # and never carry the process-local segment handle.
+            # A pickled copy must carry the values intact and never the
+            # process-local segment handle.
             clone = pickle.loads(pickle.dumps(attached))
             assert clone.segment is None, "pickled contacts kept a segment"
             assert np.array_equal(clone.rise_s, contacts.rise_s)

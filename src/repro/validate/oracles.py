@@ -678,168 +678,3 @@ def check_interval_agreement(
     if mismatches:
         return failed("oracle.intervals", **details)
     return passed("oracle.intervals", **details)
-
-
-def check_backend_agreement(
-    seed: int,
-    n_satellites: int = 24,
-    n_sites: int = 5,
-    n_subsets: int = 8,
-    duration_s: float = 14_400.0,
-    step_s: float = 120.0,
-) -> CheckResult:
-    """Every available kernel backend vs straight-line numpy — bit-exact.
-
-    The backend layer (:mod:`repro.sim.backends`) routes three hot
-    operations: the threshold+reduce slab compare, the popcount-on-OR
-    subset reduction, and the interval event-sweep accumulation.  Each is
-    admissible only if it is **bit-identical** to the plain numpy
-    formulation — an elementwise float64 compare, a pure integer
-    OR/lookup/sum, and a float64 accumulation in a fixed (pre-sorted)
-    array order respectively — so figure tables never depend on which
-    backend executed them.
-
-    Two tiers of evidence:
-
-    * **op-level** — each backend's three primitives against straight-line
-      numpy references (written here, independently of the registry's
-      default implementation) on randomized inputs;
-    * **end-to-end** — pool-wide and fleet-scoped
-      :class:`~repro.sim.kernels.subsets.SubsetQuery` /
-      :class:`~repro.sim.intervals.IntervalSubsetQuery` reductions under
-      each backend against the numpy backend's results, over random
-      subsets of random fleets.
-
-    Backends that are registered but unavailable (e.g. ``numba`` without
-    the package installed) are reported in the details and skipped — the
-    check still passes, because availability is an environment property,
-    not a correctness one.  CI runs a dedicated leg with numba installed
-    so the compiled path is exercised there.
-    """
-    from repro.sim import backends
-    from repro.sim.intervals import IntervalSubsetQuery, find_contact_intervals
-    from repro.sim.kernels.subsets import SubsetQuery
-    from repro.sim.visibility import packed_visibility
-
-    rng = gen.trial_rng(seed, 7, 0)
-    registered = backends.backend_names()
-    availability = backends.available_backends()
-    available = [name for name, ok in availability.items() if ok]
-    numba_available = availability.get("numba", False)
-    numba_reason = None
-    if not numba_available:
-        try:
-            backends.get_backend("numba")
-        except (RuntimeError, ValueError) as error:
-            numba_reason = str(error)
-    comparisons = 0
-    mismatches: List[str] = []
-
-    # -- op-level: randomized inputs, straight-line numpy references -------
-    dots = rng.standard_normal((4, n_sites, 37))
-    # Include exact ties so the >= edge is exercised.
-    dots.ravel()[rng.integers(0, dots.size, size=16)] = 0.25
-    thresholds = np.full((4, 1, 1), 0.25) + rng.standard_normal((4, 1, 1)) * (
-        rng.random((4, 1, 1)) > 0.5
-    )
-    slab_ref = dots >= thresholds
-
-    rows = rng.integers(
-        0, 256, size=(n_sites, n_satellites, 23), dtype=np.uint8
-    )
-    table = backends.POPCOUNT_TABLE
-    or1_ref = (
-        table[np.bitwise_or.reduce(rows, axis=1)].sum(axis=1).astype(np.int64)
-    )
-    or0_ref = (
-        table[np.bitwise_or.reduce(rows, axis=0)].sum(axis=1).astype(np.int64)
-    )
-
-    n_groups = 6
-    starts = rng.uniform(0.0, 1000.0, size=(n_groups, 9))
-    stops = starts + rng.uniform(0.0, 200.0, size=starts.shape)
-    k = starts.size
-    times = np.concatenate([starts.ravel(), stops.ravel()])
-    deltas = np.concatenate(
-        [np.ones(k, dtype=np.int64), -np.ones(k, dtype=np.int64)]
-    )
-    groups = np.tile(np.repeat(np.arange(n_groups), 9), 2)
-    order = np.lexsort((deltas, times, groups))
-    st, sd, sg = times[order], deltas[order], groups[order]
-    counts = np.cumsum(sd)
-    spans = np.diff(st)
-    same = sg[1:] == sg[:-1]
-    weights = np.where(same & (counts[:-1] > 0), spans, 0.0)
-    sweep_ref = np.bincount(sg[:-1], weights=weights, minlength=n_groups)
-
-    for name in available:
-        backend = backends.get_backend(name)
-        checks = (
-            ("threshold_slab", backend.threshold_slab(dots, thresholds), slab_ref),
-            ("or_popcount_axis1", backend.or_popcount(rows, axis=1), or1_ref),
-            ("or_popcount_axis0", backend.or_popcount(rows, axis=0), or0_ref),
-            ("sweep_accumulate", backend.sweep_accumulate(st, sd, sg, n_groups),
-             sweep_ref),
-        )
-        for op, got, want in checks:
-            comparisons += 1
-            if got.dtype != want.dtype or not np.array_equal(got, want):
-                mismatches.append(f"{op} ({name}) != numpy reference")
-
-    # -- end-to-end: subset queries on both engines under each backend -----
-    elements = list(gen.random_elements(rng, n_satellites, 0.0))
-    sites = list(gen.random_sites(rng, n_sites))
-    grid = TimeGrid(duration_s=duration_s, step_s=step_s)
-    propagator = BatchPropagator(elements)
-    visibility = packed_visibility(propagator, sites, grid)
-    contacts = find_contact_intervals(propagator, sites, grid)
-
-    fleet = np.sort(
-        rng.choice(n_satellites, size=max(2, n_satellites // 2), replace=False)
-    )
-    subsets = [
-        rng.choice(fleet, size=int(rng.integers(1, fleet.size + 1)),
-                   replace=False)
-        for _ in range(n_subsets)
-    ] + [fleet, fleet[:0]]
-
-    results = {}
-    for name in available:
-        with backends.use_backend(name):
-            grid_query = SubsetQuery.from_visibility(visibility, fleet)
-            interval_query = IntervalSubsetQuery.from_contacts(contacts, fleet)
-            results[name] = [
-                (
-                    grid_query.coverage_fractions(subset),
-                    grid_query.satellite_active_fractions(subset),
-                    interval_query.coverage_fractions(subset),
-                    interval_query.satellite_active_fractions(subset),
-                )
-                for subset in subsets
-            ]
-    reference = results["numpy"]
-    for name in available:
-        if name == "numpy":
-            continue
-        for index, (got_tuple, want_tuple) in enumerate(
-            zip(results[name], reference)
-        ):
-            for got, want in zip(got_tuple, want_tuple):
-                comparisons += 1
-                if not np.array_equal(got, want):
-                    mismatches.append(
-                        f"subset_query[{index}] ({name}) != numpy"
-                    )
-
-    details = {
-        "backends": list(registered),
-        "available": list(available),
-        "numba_available": numba_available,
-        "numba_unavailable_reason": numba_reason,
-        "comparisons": comparisons,
-        "subsets": len(subsets),
-        "mismatches": mismatches,
-    }
-    if mismatches:
-        return failed("oracle.backends", **details)
-    return passed("oracle.backends", **details)

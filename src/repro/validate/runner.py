@@ -60,9 +60,6 @@ class ValidationProfile:
     intervals_sites: int
     intervals_duration_s: float
     intervals_step_s: float
-    backend_satellites: int = 24
-    backend_sites: int = 5
-    backend_subsets: int = 8
 
 
 QUICK = ValidationProfile(
@@ -84,9 +81,6 @@ QUICK = ValidationProfile(
     intervals_sites=4,
     intervals_duration_s=14_400.0,
     intervals_step_s=120.0,
-    backend_satellites=24,
-    backend_sites=5,
-    backend_subsets=8,
 )
 
 FULL = ValidationProfile(
@@ -108,9 +102,6 @@ FULL = ValidationProfile(
     intervals_sites=8,
     intervals_duration_s=86_400.0,
     intervals_step_s=120.0,
-    backend_satellites=64,
-    backend_sites=10,
-    backend_subsets=24,
 )
 
 PROFILES = {profile.name: profile for profile in (QUICK, FULL)}
@@ -211,17 +202,6 @@ def run_validation(
             ),
         )
     )
-    report.checks.append(
-        _run_check(
-            "oracle.backends",
-            lambda: oracles.check_backend_agreement(
-                seed,
-                n_satellites=profile.backend_satellites,
-                n_sites=profile.backend_sites,
-                n_subsets=profile.backend_subsets,
-            ),
-        )
-    )
 
     for name in fuzz.INVARIANTS:
         report.checks.append(
@@ -271,12 +251,6 @@ def _summarize_details(check: CheckResult) -> str:
             f"{len(details.get('chunk_sizes', []))} chunk sizes, "
             f"{details['culled_pairs']} pairs / "
             f"{details.get('culled_satellites', '?')} sats culled, "
-            f"{len(details.get('mismatches', []))} mismatches"
-        )
-    if check.name == "oracle.backends" and "comparisons" in details:
-        names = ",".join(details.get("available", []))
-        return (
-            f"{names}: {details['comparisons']} comparisons, "
             f"{len(details.get('mismatches', []))} mismatches"
         )
     if check.name == "oracle.intervals" and "contacts" in details:

@@ -2,8 +2,8 @@
 
 One CLI invocation running several scenarios must pay the pool spawn cost
 once: the runner parks its ``PersistentPool`` on the ``ExperimentContext``,
-and every later scenario with the same pool key (engine, backend, config,
-world, live-ness) reuses the warm workers.  Contracts pinned here:
+and every later scenario with the same pool key (engine, config, world,
+live-ness) reuses the warm workers.  Contracts pinned here:
 
 * batch and live parallel collection across >= 2 scenarios reuse ONE pool
   object (asserted by identity and by ``scenarios_served``);

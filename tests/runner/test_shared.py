@@ -9,7 +9,6 @@ import pytest
 from repro.experiments.common import ExperimentConfig, ExperimentContext
 from repro.runner import shared
 from repro.runner.shared import (
-    PickledIntervalsFallback,
     SharedIntervalsHandle,
     SharedVisibilityHandle,
     attach_contact_intervals,
@@ -242,9 +241,10 @@ class TestEnsureSharedIntervals:
             context.clear()
         assert contacts.segment is None  # clear() released it.
 
-    def test_falls_back_to_pickle_when_shm_unavailable(self, monkeypatch):
+    def test_refused_shm_raises_and_leaves_context_consistent(self, monkeypatch):
         context = ExperimentContext(engine="intervals")
         contacts = _tiny_contacts(seed=3)
+        rise_s = contacts.rise_s
         context.install_intervals(self.CONFIG, contacts)
 
         def refuse(*args, **kwargs):
@@ -252,10 +252,12 @@ class TestEnsureSharedIntervals:
 
         monkeypatch.setattr(shared.shared_memory, "SharedMemory", refuse)
         try:
-            handle, owned = ensure_shared_intervals(context, self.CONFIG)
-            assert owned is None
-            assert isinstance(handle, PickledIntervalsFallback)
-            assert handle.contacts is contacts
+            with pytest.raises(OSError, match="no shared memory"):
+                ensure_shared_intervals(context, self.CONFIG)
+            # Nothing was rebound: the cached object stays heap-backed.
             assert contacts.segment is None
+            assert contacts.rise_s is rise_s
+            assert context.contact_intervals(self.CONFIG) is contacts
         finally:
             context.clear()
+        assert contacts.segment is None

@@ -11,6 +11,7 @@ from repro.sim.intervals import (
     IntervalSet,
     find_contact_intervals,
     grouped_union_seconds,
+    sweep_accumulate,
     sweep_count_steps,
 )
 from repro.sim.visibility import VisibilityEngine
@@ -145,6 +146,29 @@ class TestGroupedSweeps:
             np.array([1.0]), np.array([2.0]), np.array([2], dtype=np.intp), 4
         )
         assert list(seconds) == [0.0, 0.0, 1.0, 0.0]
+
+    def test_sweep_accumulate_matches_sequential_loop(self):
+        rng = np.random.default_rng(11)
+        n_groups = 4
+        starts = rng.uniform(0.0, 500.0, size=(n_groups, 6))
+        stops = starts + rng.uniform(0.0, 80.0, size=starts.shape)
+        k = starts.size
+        times = np.concatenate([starts.ravel(), stops.ravel()])
+        deltas = np.concatenate(
+            [np.ones(k, dtype=np.int64), -np.ones(k, dtype=np.int64)]
+        )
+        groups = np.tile(np.repeat(np.arange(n_groups), 6), 2)
+        order = np.lexsort((deltas, times, groups))
+        times, deltas, groups = times[order], deltas[order], groups[order]
+        # Same additions in the same per-group array order: exact equality.
+        want = np.zeros(n_groups)
+        count = 0
+        for i in range(times.size - 1):
+            count += deltas[i]
+            if groups[i + 1] == groups[i] and count > 0:
+                want[groups[i]] += times[i + 1] - times[i]
+        got = sweep_accumulate(times, deltas, groups, n_groups)
+        np.testing.assert_array_equal(got, want)
 
     def test_sweep_count_steps(self):
         times, counts = sweep_count_steps(

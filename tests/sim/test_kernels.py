@@ -346,3 +346,19 @@ class TestPropagatorDerived:
             ]
         )
         assert not eccentric.all_circular
+
+
+class TestOrPopcount:
+    def test_popcount_table(self):
+        values = np.arange(256, dtype=np.uint8)
+        want = np.array([bin(v).count("1") for v in range(256)])
+        np.testing.assert_array_equal(kernels.POPCOUNT_TABLE[values], want)
+
+    def test_or_popcount_matches_unpacked_bits(self):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 256, size=(5, 17, 9), dtype=np.uint8)
+        bits = np.unpackbits(rows, axis=2).astype(bool)
+        for axis in (0, 1):
+            got = kernels.or_popcount(rows, axis=axis)
+            np.testing.assert_array_equal(got, bits.any(axis=axis).sum(axis=1))
+            assert got.dtype == np.int64

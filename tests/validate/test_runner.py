@@ -51,9 +51,6 @@ def stubbed_checks(monkeypatch):
         oracles, "check_interval_agreement", stub("oracle.intervals")
     )
     monkeypatch.setattr(
-        oracles, "check_backend_agreement", stub("oracle.backends")
-    )
-    monkeypatch.setattr(
         fuzz, "run_invariant",
         lambda seed, name, trials: passed(f"fuzz.{name}", trials=trials),
     )
@@ -70,7 +67,7 @@ class TestRunValidation:
         names = [check.name for check in report.checks]
         expected = (
             ["oracle.propagator", "oracle.visibility", "oracle.packed",
-             "oracle.fused", "oracle.intervals", "oracle.backends"]
+             "oracle.fused", "oracle.intervals"]
             + [f"fuzz.{name}" for name in fuzz.INVARIANTS]
             + [f"golden.{name}" for name in goldens.GOLDEN_EXPERIMENTS]
         )
