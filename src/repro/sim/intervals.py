@@ -383,7 +383,10 @@ class ContactIntervals:
     ``"satellite"`` for :meth:`satellite_active_fractions` — each built on
     its first query.  Like ``segment`` it is process-local: it never
     pickles and never enters a shared segment, so every worker, restricted
-    copy and unpickled copy sorts its own.
+    copy and unpickled copy sorts its own.  ``activity`` is process-local
+    the same way: a :class:`repro.sim.kernels.ActivityTable` of pool-wide
+    active seconds per site set, filled by
+    :meth:`satellite_active_fractions`.
     """
 
     __slots__ = (
@@ -398,10 +401,11 @@ class ContactIntervals:
         "pair_offsets",
         "segment",
         "streams",
+        "activity",
     )
 
     #: Slots holding process-local state, left out of pickles.
-    _LOCAL_SLOTS = ("segment", "streams")
+    _LOCAL_SLOTS = ("segment", "streams", "activity")
 
     def __init__(
         self,
@@ -424,16 +428,15 @@ class ContactIntervals:
         self.truncated_start = truncated_start
         self.truncated_end = truncated_end
         self.pair_offsets = pair_offsets
-        self.segment = None
-        self.streams = {}
+        self._reset_local_state()
         expected = self.n_sites * self.n_satellites + 1
         if pair_offsets.shape != (expected,):
             raise ValueError("pair_offsets length must be n_sites*n_sats + 1")
 
     def __getstate__(self):
         # Shared-memory segments are process-local handles; a pickled copy
-        # carries the arrays by value.  Event streams are rebuilt on demand
-        # by whoever unpickles.
+        # carries the arrays by value.  Event streams and activity vectors
+        # are rebuilt on demand by whoever unpickles.
         return {
             name: getattr(self, name)
             for name in self.__slots__
@@ -443,8 +446,14 @@ class ContactIntervals:
     def __setstate__(self, state) -> None:
         for name, value in state.items():
             setattr(self, name, value)
+        self._reset_local_state()
+
+    def _reset_local_state(self) -> None:
         self.segment = None
         self.streams = {}
+        self.activity = kernels.ActivityTable(
+            self.n_sites, "intervals.activity_table"
+        )
 
     @property
     def n_contacts(self) -> int:
@@ -597,21 +606,23 @@ class ContactIntervals:
         """Fraction of the horizon each satellite serves >= 1 site.
 
         One entry per position of ``sat_indices``; a satellite listed
-        twice gets its fraction twice.
+        twice gets its fraction twice.  Each satellite's seconds come from
+        :attr:`activity`, one pool-wide sweep per site set: a satellite's
+        group of the sweep holds only its own events, so its sum does not
+        depend on the rest of the subset, and repeated sites add only
+        zero-length spans.
         """
         sats = self._sat_array(sat_indices)
-        sites = self._site_array(site_indices)
-        if sats.size == 0:
-            return np.zeros(0)
-        if sites.size == 0 or self.span_s == 0.0:
+        if self.span_s == 0.0:
             return np.zeros(sats.size)
-        # Group by pool satellite, then read each position's satellite: the
-        # group holds the events the one-shot sweep gives that position
-        # (a repeated satellite's copies add only zero-length spans).
-        pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
-        flat = self._gather(pair_ids)
-        seconds = self.event_stream("satellite").union_seconds(flat)
+        seconds = self.activity.lookup(site_indices, self._active_seconds)
         return seconds[sats] / self.span_s
+
+    def _active_seconds(self, sites: np.ndarray) -> np.ndarray:
+        """Seconds each pool satellite serves any of ``sites``: (N,)."""
+        sats = np.arange(self.n_satellites, dtype=np.intp)
+        pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
+        return self.event_stream("satellite").union_seconds(self._gather(pair_ids))
 
     def visible_count_steps(
         self, site_index: int, sat_indices=None

@@ -31,8 +31,10 @@ tests/sim/test_kernels.py and the ``oracle.fused`` validation check):
 
 The threshold compare is an elementwise float64 ``>=``, and the packed
 subset reductions share one integer OR+popcount (:func:`or_popcount`,
-exact in any evaluation order).  Subset-query batch kernels over the
-packed tensor live in :mod:`repro.sim.kernels.subsets`.
+exact in any evaluation order).  Per-satellite activity is memoized
+pool-wide, one vector per site set (:class:`ActivityTable`), so a subset
+query gathers counts instead of reducing rows.  Subset-query batch kernels
+over the packed tensor live in :mod:`repro.sim.kernels.subsets`.
 
 Geometric pair culling
 ----------------------
@@ -81,6 +83,66 @@ def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:
     """
     packed_or = np.bitwise_or.reduce(rows, axis=axis)
     return POPCOUNT_TABLE[packed_or].sum(axis=1).astype(np.int64)
+
+
+def active_sample_counts(packed: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Samples each satellite is seen by any of ``sites``: (N,) int64.
+
+    ``packed`` is ``(S, N, B)`` uint8 and ``sites`` an integer index array;
+    no sites means no demand, so every count is zero.
+    """
+    if sites.size == 0:
+        return np.zeros(packed.shape[1], dtype=np.int64)
+    return or_popcount(packed[sites], axis=0)
+
+
+class ActivityTable:
+    """Pool-wide per-satellite activity, one vector per distinct site set.
+
+    A satellite's activity over a site set (its active samples or seconds)
+    reduces over that satellite's own rows only; it never depends on which
+    other satellites a query selects.  So the holder computes the vector
+    for every satellite once per site set and answers each satellite
+    subset with a gather.  Entries are keyed by the sorted unique site
+    indices, so repeated and permuted selections share one entry.
+
+    The table is process-local: it never pickles and never enters shared
+    memory, and it goes away with its holder.  A shm-attached, restricted
+    or unpickled copy of the holder starts cold.
+    """
+
+    __slots__ = ("n_sites", "vectors", "_builds", "_hits")
+
+    def __init__(self, n_sites: int, counter_prefix: str) -> None:
+        self.n_sites = int(n_sites)
+        self.vectors = {}
+        self._builds = metrics.counter(f"{counter_prefix}.builds")
+        self._hits = metrics.counter(f"{counter_prefix}.hits")
+
+    def clear(self) -> None:
+        self.vectors.clear()
+
+    def lookup(self, site_indices, build) -> np.ndarray:
+        """The vector for a site selection (None = every site).
+
+        On a miss, ``build(sites)`` computes it from the sorted unique
+        site index array.  The selection is indexed like a numpy index,
+        so negative and out-of-range sites behave as they would there.
+        """
+        sites = np.arange(self.n_sites, dtype=np.intp)
+        if site_indices is not None:
+            selection = np.asarray(site_indices)
+            if selection.size == 0:
+                selection = selection.astype(np.intp)
+            sites = np.unique(sites[selection])
+        key = sites.tobytes()
+        vector = self.vectors.get(key)
+        if vector is None:
+            self._builds.inc()
+            vector = self.vectors[key] = build(sites)
+        else:
+            self._hits.inc()
+        return vector
 
 
 #: Smallest default streaming chunk (time samples per slab).  The float64

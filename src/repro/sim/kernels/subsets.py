@@ -77,6 +77,10 @@ class SubsetQuery:
         self.packed = packed
         self.n_times = int(n_times)
         self.fleet = fleet
+        #: Active-sample counts of every fleet row, one vector per site set.
+        self.activity = kernels.ActivityTable(
+            packed.shape[0], "visibility.activity_table"
+        )
 
     # -- construction ------------------------------------------------------
 
@@ -156,16 +160,16 @@ class SubsetQuery:
     def satellite_active_fractions(
         self, subset=None, site_indices=None
     ) -> np.ndarray:
-        """Active fraction per subset satellite (any selected site visible)."""
-        local = self._rows_for(subset)
-        rows = self.packed
-        if site_indices is not None:
-            rows = rows[np.asarray(site_indices, dtype=np.intp).reshape(-1)]
-        rows = rows[:, local, :]
-        if rows.shape[0] == 0 or rows.shape[1] == 0:
-            return np.zeros(rows.shape[1])
-        counts = kernels.or_popcount(rows, axis=0)
-        return counts / float(self.n_times)
+        """Active fraction per subset satellite (any selected site visible).
+
+        Gathered from :attr:`activity`, which counts the whole fleet once
+        per site set (a satellite's count ignores the rest of the subset).
+        """
+        counts = self.activity.lookup(
+            site_indices,
+            lambda sites: kernels.active_sample_counts(self.packed, sites),
+        )
+        return counts[self._rows_for(subset)] / float(self.n_times)
 
     def visible_counts(self, site_index: int, subset=None) -> np.ndarray:
         """Per-step visible-satellite counts (T,) at one site."""

@@ -254,6 +254,11 @@ class PackedVisibility:
     ``multiprocessing.shared_memory`` segment this process owns; whoever
     caches the instance disposes the segment
     (:meth:`repro.experiments.common.ExperimentContext.clear`).
+
+    ``activity`` is a process-local :class:`repro.sim.kernels.ActivityTable`
+    of pool-wide active-sample counts, one vector per site set, filled by
+    :meth:`satellite_active_fractions`; an instance attached to a shared
+    segment starts with it empty.
     """
 
     def __init__(self, packed: np.ndarray, n_times: int, grid: TimeGrid) -> None:
@@ -265,6 +270,9 @@ class PackedVisibility:
         self.n_times = n_times
         self.grid = grid
         self.segment = None  # Owned shared-memory segment, when shm-backed.
+        self.activity = kernels.ActivityTable(
+            packed.shape[0], "visibility.activity_table"
+        )
 
     @property
     def n_sites(self) -> int:
@@ -294,7 +302,9 @@ class PackedVisibility:
 
     def site_mask(self, site_index: int, sat_indices=None) -> np.ndarray:
         """Boolean coverage mask (T,) of one site under a satellite subset."""
-        rows = self._subset(sat_indices)[site_index]
+        rows = self.packed[site_index]
+        if sat_indices is not None:
+            rows = rows[self._as_index_array(sat_indices)]
         if rows.shape[0] == 0:
             return np.zeros(self.n_times, dtype=bool)
         packed_or = np.bitwise_or.reduce(rows, axis=0)
@@ -317,12 +327,14 @@ class PackedVisibility:
         return counts / float(self.n_times)
 
     def _subset2(self, sat_indices, site_indices) -> np.ndarray:
-        rows = self.packed
-        if site_indices is not None:
-            rows = rows[self._as_index_array(site_indices)]
-        if sat_indices is not None:
-            rows = rows[:, self._as_index_array(sat_indices), :]
-        return rows
+        """Rows of the selected sites and satellites, gathered in one step
+        (gathering either axis first would copy rows the other drops)."""
+        if site_indices is None:
+            return self._subset(sat_indices)
+        sites = self._as_index_array(site_indices)
+        if sat_indices is None:
+            return self.packed[sites]
+        return self.packed[np.ix_(sites, self._as_index_array(sat_indices))]
 
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None
@@ -333,11 +345,17 @@ class PackedVisibility:
         sweep serves the top-k cities only); default is all sites.  An empty
         site selection means no demand anywhere: every satellite's active
         fraction is zero.
+
+        A satellite's count does not depend on the rest of the subset, so
+        the first query per site set counts every satellite in the pool
+        (:attr:`activity`) and each query gathers its satellites' counts.
         """
-        rows = self._subset2(sat_indices, site_indices)
-        if rows.shape[0] == 0 or rows.shape[1] == 0:
-            return np.zeros(rows.shape[1])
-        counts = kernels.or_popcount(rows, axis=0)
+        counts = self.activity.lookup(
+            site_indices,
+            lambda sites: kernels.active_sample_counts(self.packed, sites),
+        )
+        if sat_indices is not None:
+            counts = counts[self._as_index_array(sat_indices)]
         return counts / float(self.n_times)
 
     def satellite_masks(self, sat_indices=None, site_indices=None) -> np.ndarray:

@@ -36,7 +36,7 @@ depend on against an independent formulation of the same physics:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -247,12 +247,19 @@ def _unpacked_reductions_match(
         packed.satellite_masks(sat_indices, site_indices), expect_sat_masks
     ):
         mismatches.append("satellite_masks")
-    if not np.array_equal(
-        packed.satellite_active_fractions(sat_indices, site_indices),
+    expect_active = (
         expect_sat_masks.mean(axis=1) if expect_sat_masks.size
-        else np.zeros(n_subset),
-    ):
-        mismatches.append("satellite_active_fractions")
+        else np.zeros(n_subset)
+    )
+    # Cold (the selection's site set is counted afresh), then warm (the
+    # counts come from the activity table).
+    packed.activity.clear()
+    for warmth in ("cold", "warm"):
+        if not np.array_equal(
+            packed.satellite_active_fractions(sat_indices, site_indices),
+            expect_active,
+        ):
+            mismatches.append(f"satellite_active_fractions ({warmth})")
     return mismatches
 
 
@@ -447,6 +454,43 @@ def check_fused_agreement(
     return passed("oracle.fused", **details)
 
 
+def _activity_selections(
+    rng: np.random.Generator, n_satellites: int, n_sites: int
+) -> List[Tuple[Optional[List[int]], Optional[List[int]]]]:
+    """(satellites, sites) selections for the activity check: the full and
+    empty axes plus random subsets with repeats, in shuffled order."""
+    selections = [(None, None), (None, []), ([], None)]
+    for _ in range(4):
+        sats = rng.integers(0, n_satellites, size=int(rng.integers(1, n_satellites)))
+        sites = rng.integers(0, n_sites, size=int(rng.integers(1, n_sites + 2)))
+        selections.append((sats.tolist(), sites.tolist()))
+        selections.append((sats.tolist(), sites[::-1].tolist()))
+    return selections
+
+
+def _one_shot_active_fractions(contacts, sat_indices, site_indices) -> np.ndarray:
+    """Active fraction per selected satellite, one group per position, from
+    one :func:`grouped_union_seconds` call over the pairs' windows."""
+    from repro.sim.intervals import grouped_union_seconds
+
+    sats = range(contacts.n_satellites) if sat_indices is None else sat_indices
+    sites = range(contacts.n_sites) if site_indices is None else site_indices
+    starts, stops, groups = [], [], []
+    for position, sat in enumerate(sats):
+        for site in sites:
+            rise_s, set_s, _, _ = contacts.pair_windows(site, sat)
+            starts.append(rise_s)
+            stops.append(set_s)
+            groups.append(np.full(rise_s.size, position, dtype=np.intp))
+    if not starts:
+        return np.zeros(len(sats))
+    seconds = grouped_union_seconds(
+        np.concatenate(starts), np.concatenate(stops),
+        np.concatenate(groups), len(sats),
+    )
+    return seconds / contacts.span_s
+
+
 def check_interval_agreement(
     seed: int,
     n_satellites: int = 16,
@@ -503,6 +547,7 @@ def check_interval_agreement(
     total_contacts = 0
     samples = 0
     scheduling_comparisons = 0
+    activity_selections = 0
     for batch_name, eccentricity_ceiling in (
         ("circular", 0.0),
         ("eccentric", gen.MAX_DOMAIN_ECCENTRICITY),
@@ -586,6 +631,24 @@ def check_interval_agreement(
                     f"micro_gaps ({label}): sample-free gap of "
                     f"{micro_gaps.max():.2f} s >= {2.0 * step_s:.2f} s"
                 )
+
+        # Satellite activity per selection, cold then warm (the table), is
+        # bit-equal to one lexsorted sweep over the selection's windows.
+        for sat_sel, site_sel in _activity_selections(
+            gen.trial_rng(seed, 5, 2), len(elements), len(sites)
+        ):
+            expect = _one_shot_active_fractions(contacts, sat_sel, site_sel)
+            contacts.activity.clear()
+            for warmth in ("cold", "warm"):
+                if not np.array_equal(
+                    contacts.satellite_active_fractions(sat_sel, site_sel),
+                    expect,
+                ):
+                    mismatches.append(
+                        f"satellite_active_fractions ({batch_name}, {warmth}, "
+                        f"sats={sat_sel}, sites={site_sel})"
+                    )
+            activity_selections += 1
 
         # Scheduling agreement — decisions run at grid cadence, so the
         # interval scheduler's candidate sets equal the grid masks and the
@@ -673,6 +736,7 @@ def check_interval_agreement(
         "contacts": total_contacts,
         "scheduling_policies": [p.value for p in SchedulingPolicy],
         "scheduling_comparisons": scheduling_comparisons,
+        "activity_selections": activity_selections,
         "mismatches": mismatches,
     }
     if mismatches:

@@ -257,6 +257,7 @@ def _summarize_details(check: CheckResult) -> str:
         return (
             f"{details['contacts']} contacts, "
             f"{details.get('scheduling_comparisons', 0)} schedules, "
+            f"{details.get('activity_selections', 0)} activity selections, "
             f"{len(details.get('mismatches', []))} mismatches"
         )
     if check.name.startswith("fuzz.") and "trials" in details:

@@ -509,6 +509,125 @@ class TestPresortedStreams:
             unlink_shared_visibility(segment)
 
 
+class TestActivityTable:
+    """Per-site-set active seconds are bit-equal to the one-shot sweep over
+    the gathered windows, cold or warm, and shared between spellings of
+    one site set."""
+
+    SUBSETS = TestPresortedStreams.SUBSETS + (None,)
+    SITE_SETS = TestPresortedStreams.SITE_SETS + (None, [4, 0, 2, 3, 1], [0, 3, 2])
+
+    @staticmethod
+    def _want(contacts, subset, sites):
+        sats = np.arange(contacts.n_satellites) if subset is None else subset
+        sites = np.arange(contacts.n_sites) if sites is None else sites
+        return _one_shot_active(contacts, sats, sites)
+
+    @staticmethod
+    def _counts():
+        from repro.obs import metrics
+
+        return tuple(
+            metrics.counter(f"intervals.activity_table.{name}").value
+            for name in ("builds", "hits")
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_and_warm_bit_equal(self, seed):
+        for subset in self.SUBSETS:
+            for sites in self.SITE_SETS:
+                contacts = _tied_contacts(seed)
+                want = self._want(contacts, subset, sites)
+                cold = contacts.satellite_active_fractions(subset, sites)
+                warm = contacts.satellite_active_fractions(subset, sites)
+                assert np.array_equal(cold, want), (subset, sites)
+                assert np.array_equal(warm, want), (subset, sites)
+
+    def test_one_table_serves_every_site_set(self):
+        contacts = _tied_contacts(8)
+        for _ in range(2):
+            for sites in self.SITE_SETS:
+                for subset in self.SUBSETS:
+                    assert np.array_equal(
+                        contacts.satellite_active_fractions(subset, sites),
+                        self._want(contacts, subset, sites),
+                    ), (subset, sites)
+        # Distinct sorted unique site sets: [], [0], [0 2 3], [1], [2 4],
+        # and every site (four spellings).
+        assert len(contacts.activity.vectors) == 6
+
+    def test_permuted_and_repeated_sites_reuse_one_entry(self):
+        contacts = _tied_contacts(3)
+        before = self._counts()
+        want = self._want(contacts, [6, 1, 6], [0, 2, 3])
+        for sites in ([3, 0, 2], [0, 2, 3], [2, 2, 0, 3, 3], np.array([3, 2, 0])):
+            got = contacts.satellite_active_fractions([6, 1, 6], sites)
+            assert np.array_equal(got, want)
+        builds, hits = (a - b for a, b in zip(self._counts(), before))
+        assert (len(contacts.activity.vectors), builds, hits) == (1, 1, 3)
+
+    def test_zero_horizon_builds_nothing(self):
+        contacts = ContactIntervals(
+            2, 3, 50.0, 50.0, np.zeros(0), np.zeros(0),
+            np.zeros(0, dtype=bool), np.zeros(0, dtype=bool),
+            np.zeros(7, dtype=np.int64),
+        )
+        assert np.array_equal(
+            contacts.satellite_active_fractions([2, 0], [1]), np.zeros(2)
+        )
+        assert len(contacts.activity.vectors) == 0
+
+    def test_restricted_copy_starts_cold(self):
+        contacts = _tied_contacts(4)
+        contacts.satellite_active_fractions(None, [0, 3])
+        fleet = np.array([1, 2, 4, 6, 8])
+        restricted = contacts.restrict(fleet)
+        assert len(restricted.activity.vectors) == 0
+        for local in ([], [0, 4], [3, 1, 1]):
+            pool = fleet[np.asarray(local, dtype=np.intp)]
+            assert np.array_equal(
+                restricted.satellite_active_fractions(local, [3, 0]),
+                self._want(contacts, pool, [0, 3]),
+            )
+
+    def test_pickle_bytes_equal_warm_and_cold(self):
+        import pickle
+
+        contacts = _tied_contacts(2)
+        cold = pickle.dumps(contacts)
+        want = contacts.satellite_active_fractions([1, 2], [0, 4])
+        contacts.satellite_active_fractions(None, None)
+        assert len(contacts.activity.vectors) == 2
+        assert pickle.dumps(contacts) == cold
+        copy = pickle.loads(cold)
+        assert len(copy.activity.vectors) == 0
+        assert np.array_equal(copy.satellite_active_fractions([1, 2], [4, 0]), want)
+
+    def test_shared_memory_copy_starts_cold(self):
+        from repro.runner.shared import (
+            attach_contact_intervals,
+            share_contact_intervals,
+            unlink_shared_visibility,
+        )
+
+        contacts = _tied_contacts(6)
+        want = contacts.satellite_active_fractions([7, 0, 7], [2, 4])
+        segment, handle = share_contact_intervals(contacts)
+        try:
+            attached_segment, attached = attach_contact_intervals(handle)
+            try:
+                assert len(attached.activity.vectors) == 0
+                assert np.array_equal(
+                    attached.satellite_active_fractions([7, 0, 7], [4, 2]), want
+                )
+                assert len(attached.activity.vectors) == 1
+            finally:
+                del attached
+                attached_segment.close()
+        finally:
+            unlink_shared_visibility(segment)
+
+
 class TestUnitPositionsAt:
     """Paired per-element evaluation against the full state matrix."""
 

@@ -145,6 +145,92 @@ class TestSubsetQueryGrid:
             SubsetQuery.from_visibility(visibility, np.array([1, 1, 2]))
 
 
+class TestActivityTable:
+    """SubsetQuery's per-site-set activity table against unpacked booleans."""
+
+    FLEET = np.array([2, 5, 6, 11, 13, 17, 20])
+    SUBSETS = (None, [], [13], [20, 2, 11], [6, 6, 17, 6], list(FLEET))
+    SITE_SETS = (None, [], [3], [2, 0, 3], [1, 1, 2], [3, 2, 1, 0])
+
+    @classmethod
+    def _query(cls, seed):
+        rng = np.random.default_rng(seed)
+        n_times = 53
+        dense = rng.random((N_SITES, cls.FLEET.size, n_times)) < 0.12
+        query = SubsetQuery(np.packbits(dense, axis=2), n_times, cls.FLEET)
+        return query, dense
+
+    @classmethod
+    def _want(cls, dense, subset, sites):
+        local = (
+            np.arange(cls.FLEET.size) if subset is None
+            else np.searchsorted(cls.FLEET, np.asarray(subset, dtype=np.intp))
+        )
+        sites = np.arange(N_SITES) if sites is None else np.asarray(sites, dtype=np.intp)
+        if sites.size == 0 or local.size == 0:
+            return np.zeros(local.size)
+        return dense[sites][:, local].any(axis=0).mean(axis=1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cold_and_warm_match_unpacked(self, seed):
+        for subset in self.SUBSETS:
+            for sites in self.SITE_SETS:
+                query, dense = self._query(seed)
+                want = self._want(dense, subset, sites)
+                assert np.array_equal(
+                    query.satellite_active_fractions(subset, sites), want
+                ), (subset, sites)
+                assert np.array_equal(
+                    query.satellite_active_fractions(subset, sites), want
+                ), (subset, sites)
+
+    def test_one_table_serves_every_site_set(self):
+        query, dense = self._query(9)
+        for _ in range(2):
+            for sites in self.SITE_SETS:
+                for subset in self.SUBSETS:
+                    assert np.array_equal(
+                        query.satellite_active_fractions(subset, sites),
+                        self._want(dense, subset, sites),
+                    ), (subset, sites)
+        # None and [3, 2, 1, 0] are one site set; the rest are distinct.
+        assert len(query.activity.vectors) == len(self.SITE_SETS) - 1
+
+    def test_permuted_sites_reuse_one_entry(self):
+        query, _ = self._query(1)
+        want = query.satellite_active_fractions([17, 5], [0, 2])
+        for sites in ([2, 0], [0, 0, 2], (2, 2, 0)):
+            assert np.array_equal(
+                query.satellite_active_fractions([17, 5], sites), want
+            )
+        assert len(query.activity.vectors) == 1
+
+    def test_out_of_fleet_subset_rejected(self):
+        query, _ = self._query(2)
+        with pytest.raises(KeyError):
+            query.satellite_active_fractions([3], [0])
+
+    def test_pool_wide_query_matches_visibility(self, world):
+        _, _, _, visibility, _ = world
+        query = SubsetQuery.from_visibility(visibility)
+        for sites in self.SITE_SETS:
+            for subset in ([], [23, 0, 7], [4, 4, 19]):
+                np.testing.assert_array_equal(
+                    query.satellite_active_fractions(subset, sites),
+                    visibility.satellite_active_fractions(subset, sites),
+                )
+
+    def test_site_restricted_view_starts_cold(self):
+        query, dense = self._query(4)
+        query.satellite_active_fractions(None, [0, 1])
+        sliced = query_for_sites(query, [3, 1])
+        assert len(sliced.activity.vectors) == 0
+        np.testing.assert_array_equal(
+            sliced.satellite_active_fractions([6, 20], [1]),
+            self._want(dense, [6, 20], [1]),
+        )
+
+
 class TestIntervalSubsetQuery:
     def test_pool_wide_matches_contacts_reductions(self, world):
         _, _, _, _, contacts = world

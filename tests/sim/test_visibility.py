@@ -289,6 +289,127 @@ class TestPackedEmptySelections:
         assert np.allclose(fractions, masks.mean(axis=1))
 
 
+def _random_packed(seed: int, n_sites: int = 5, n_sats: int = 12):
+    """A random packed tensor and its (S, N, T) booleans; T is not a
+    multiple of 8, so every row carries padding bits."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(duration_s=45 * 60.0, step_s=60.0)
+    dense = rng.random((n_sites, n_sats, grid.count)) < 0.15
+    return PackedVisibility(np.packbits(dense, axis=2), grid.count, grid), dense
+
+
+def _unpacked_active(dense, sats, sites):
+    """satellite_active_fractions from the boolean tensor."""
+    sats = np.arange(dense.shape[1]) if sats is None else np.asarray(sats, dtype=np.intp)
+    sites = np.arange(dense.shape[0]) if sites is None else np.asarray(sites, dtype=np.intp)
+    if sites.size == 0 or sats.size == 0:
+        return np.zeros(sats.size)
+    return dense[sites][:, sats].any(axis=0).mean(axis=1)
+
+
+class TestActivityTable:
+    """The per-site-set activity table answers exactly like the unpacked
+    boolean reduction, cold or warm, and shares entries between spellings
+    of one site set."""
+
+    SUBSETS = (None, [], [7], [9, 0, 4, 2], [5, 5, 1, 5], list(range(12)))
+    SITE_SETS = (None, [], [0], [3, 0, 2], [2, 2, 4], [1, 4], [4, 3, 2, 1, 0])
+
+    @staticmethod
+    def _counts():
+        from repro.obs import metrics
+
+        return tuple(
+            metrics.counter(f"visibility.activity_table.{name}").value
+            for name in ("builds", "hits")
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_and_warm_match_unpacked(self, seed):
+        for subset in self.SUBSETS:
+            for sites in self.SITE_SETS:
+                packed, dense = _random_packed(seed)
+                want = _unpacked_active(dense, subset, sites)
+                cold = packed.satellite_active_fractions(subset, sites)
+                warm = packed.satellite_active_fractions(subset, sites)
+                assert np.array_equal(cold, want), (subset, sites)
+                assert np.array_equal(warm, want), (subset, sites)
+
+    def test_one_table_serves_every_site_set(self):
+        packed, dense = _random_packed(7)
+        for _ in range(2):
+            for sites in self.SITE_SETS:
+                for subset in self.SUBSETS:
+                    assert np.array_equal(
+                        packed.satellite_active_fractions(subset, sites),
+                        _unpacked_active(dense, subset, sites),
+                    ), (subset, sites)
+        # None and [4, 3, 2, 1, 0] are one site set; the rest are distinct.
+        assert len(packed.activity.vectors) == len(self.SITE_SETS) - 1
+
+    def test_permuted_and_repeated_sites_reuse_one_entry(self):
+        packed, dense = _random_packed(3)
+        before = self._counts()
+        for sites in ([3, 0, 2], [0, 2, 3], [2, 2, 0, 3, 3], np.array([3, 2, 0])):
+            got = packed.satellite_active_fractions([6, 1, 6], sites)
+            assert np.array_equal(got, _unpacked_active(dense, [6, 1, 6], [0, 2, 3]))
+        builds, hits = (a - b for a, b in zip(self._counts(), before))
+        assert (len(packed.activity.vectors), builds, hits) == (1, 1, 3)
+
+    def test_none_is_every_site(self):
+        packed, _ = _random_packed(4)
+        every = packed.satellite_active_fractions()
+        assert np.array_equal(
+            packed.satellite_active_fractions(site_indices=range(5)), every
+        )
+        assert len(packed.activity.vectors) == 1
+
+    def test_rejects_out_of_range_site(self):
+        packed, _ = _random_packed(0)
+        with pytest.raises(IndexError):
+            packed.satellite_active_fractions([0], [5])
+        assert len(packed.activity.vectors) == 0
+
+    def test_gathers_leave_masks_unchanged(self):
+        packed, dense = _random_packed(5)
+        for subset in self.SUBSETS[1:]:
+            sats = np.asarray(subset, dtype=np.intp)
+            for site in range(5):
+                assert np.array_equal(
+                    packed.site_mask(site, subset), dense[site, sats].any(axis=0)
+                )
+            for sites in self.SITE_SETS[1:]:
+                want = np.zeros((sats.size, dense.shape[2]), dtype=bool)
+                if sats.size and sites:
+                    want = dense[np.asarray(sites)][:, sats].any(axis=0)
+                assert np.array_equal(packed.satellite_masks(subset, sites), want)
+
+    def test_shm_attached_copy_starts_cold(self):
+        from repro.runner.shared import (
+            attach_packed_visibility,
+            share_packed_visibility,
+            unlink_shared_visibility,
+        )
+
+        packed, dense = _random_packed(6)
+        want = packed.satellite_active_fractions([3, 8], [1, 2])
+        segment, handle = share_packed_visibility(packed)
+        try:
+            attached_segment, attached = attach_packed_visibility(handle)
+            try:
+                assert len(attached.activity.vectors) == 0
+                assert np.array_equal(
+                    attached.satellite_active_fractions([3, 8], [2, 1]), want
+                )
+                assert len(attached.activity.vectors) == 1
+            finally:
+                attached_segment.close()
+        finally:
+            unlink_shared_visibility(segment)
+        assert len(packed.activity.vectors) == 1
+        assert np.array_equal(want, _unpacked_active(dense, [3, 8], [1, 2]))
+
+
 class TestThresholdErrorPaths:
     """coverage_cos_thresholds domain errors and extreme elevation masks."""
 

@@ -10,6 +10,20 @@ import pytest
 from repro.validate import gen, oracles
 
 
+def _corrupt_warm_activity(monkeypatch):
+    """Activity-table hits answer one unit off; builds stay correct."""
+    from repro.sim.kernels import ActivityTable
+
+    lookup = ActivityTable.lookup
+
+    def off_by_one_when_warm(self, site_indices, build):
+        hits = self._hits.value
+        vector = lookup(self, site_indices, build)
+        return vector + 1 if self._hits.value > hits else vector
+
+    monkeypatch.setattr(ActivityTable, "lookup", off_by_one_when_warm)
+
+
 class TestPropagatorOracle:
     def test_passes_on_healthy_paths(self):
         check = oracles.check_propagator_agreement(
@@ -113,6 +127,17 @@ class TestPackedOracle:
         mismatches = oracles._unpacked_reductions_match(packed, visible, None, None)
         assert mismatches
 
+    def test_warm_activity_path_is_checked(self, monkeypatch):
+        _corrupt_warm_activity(monkeypatch)
+        check = oracles.check_packed_agreement(
+            seed=13, n_satellites=12, n_sites=4, duration_s=3_600.0,
+            step_s=60.0, n_subsets=3,
+        )
+        assert not check.ok
+        assert any("satellite_active_fractions (warm)" in m
+                   for m in check.details["mismatches"])
+        assert not any("(cold)" in m for m in check.details["mismatches"])
+
 
 class TestGenerators:
     def test_elements_in_domain(self):
@@ -163,7 +188,19 @@ class TestIntervalOracle:
         )
         assert check.ok, check.details["mismatches"]
         assert check.details["contacts"] > 0
+        assert check.details["activity_selections"] == 22
         assert check.details["mismatches"] == []
+
+    def test_warm_activity_path_is_checked(self, monkeypatch):
+        _corrupt_warm_activity(monkeypatch)
+        check = oracles.check_interval_agreement(
+            seed=7, n_satellites=8, n_sites=3,
+            duration_s=10_800.0, step_s=120.0,
+        )
+        assert not check.ok
+        activity = [m for m in check.details["mismatches"]
+                    if m.startswith("satellite_active_fractions")]
+        assert activity and all(", warm, " in m for m in activity)
 
     def test_fails_without_refinement_budget(self, monkeypatch):
         """Shifting every refined edge by two steps must trip the
