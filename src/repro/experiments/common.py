@@ -2,14 +2,19 @@
 
 The Monte-Carlo experiments all sample from the same synthetic Starlink-like
 pool and evaluate coverage at the same sites (the 21 cities and/or Taipei),
-so the expensive artifacts — the pool and its packed visibility tensor — are
-owned by an :class:`ExperimentContext` and built once per configuration.
+so the expensive artifacts — the pool and its contact *world* — are owned by
+an :class:`ExperimentContext` and built once per configuration.  The world
+is a :class:`~repro.sim.visibility.PackedVisibility` on the grid engine and
+a :class:`~repro.sim.intervals.ContactIntervals` on the intervals engine;
+the context is the one place that chooses between them
+(:meth:`ExperimentContext.world`), and every kernel queries either through
+the contract both share.
 
 A context is an explicit object with an explicit lifetime: the unified
 runner (:mod:`repro.runner`) threads one through every scenario kernel, a
-parallel worker process holds its own (with the visibility tensor attached
-from shared memory instead of rebuilt), and tests can create throwaway
-contexts that never touch each other.  The module-level helpers
+parallel worker process holds its own (with the world attached from shared
+memory instead of rebuilt), and tests can create throwaway contexts that
+never touch each other.  The module-level helpers
 (:func:`starlink_pool`, :func:`pool_visibility`, :func:`clear_caches`)
 delegate to one process-default context so existing call sites keep
 working.
@@ -25,7 +30,7 @@ import atexit
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from repro.obs.trace import span
 from repro.orbits.propagator import BatchPropagator
 from repro.sim.clock import TimeGrid
 from repro.sim.intervals import ContactIntervals, find_contact_intervals
-from repro.sim.kernels import SiteGeometry
+from repro.sim.kernels import SiteGeometry, as_fleet
 from repro.sim.visibility import PackedVisibility, packed_visibility
 
 _LOG = get_logger(__name__)
@@ -67,6 +72,9 @@ _SUBSET_MISSES = metrics.counter("experiments.subset_cache.misses")
 ENGINE_GRID = "grid"
 ENGINE_INTERVALS = "intervals"
 ENGINES = (ENGINE_GRID, ENGINE_INTERVALS)
+
+#: A contact world: what one engine answers every coverage query from.
+World = Union[PackedVisibility, ContactIntervals]
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,14 @@ CITY_INDICES = tuple(range(1, len(ALL_SITES)))
 VisibilityKey = Tuple[int, float, float, float]
 
 
+def _terminals(config: ExperimentConfig) -> list:
+    """User terminals at every experiment site, under the config's mask."""
+    return [
+        city.terminal(min_elevation_deg=config.min_elevation_deg)
+        for city in ALL_SITES
+    ]
+
+
 def visibility_cache_key(
     config: ExperimentConfig, pool_seed: int = 0
 ) -> VisibilityKey:
@@ -120,31 +136,32 @@ def visibility_cache_key(
 
 
 class ExperimentContext:
-    """Owns the expensive experiment artifacts: pools + visibility tensors.
+    """Owns the expensive experiment artifacts: pools + contact worlds.
 
     One context is one cache domain.  The process-default context (module
     helpers below) serves the CLI and the benchmark suite; the parallel
     runner gives each worker process its own context with the shared-memory
-    visibility tensor pre-installed; tests create throwaway contexts to
-    keep cache state out of each other's way.
+    world pre-installed; tests create throwaway contexts to keep cache
+    state out of each other's way.
 
     Not thread-safe: experiments drive a context from one thread (or one
     process) at a time.
 
     Args:
-        chunk_size: Streaming chunk (time samples per slab) for visibility
-            builds owned by this context; None uses
-            :data:`repro.sim.kernels.DEFAULT_STREAM_CHUNK`.  An execution
+        chunk_size: Streaming chunk (time samples per slab) for world
+            builds owned by this context; None uses the adaptive
+            :func:`repro.sim.kernels.default_chunk_size`.  An execution
             knob like ``parallel``: results are chunk-invariant, only peak
             memory changes (the CLI's ``--chunk-size`` sets it on the
             default context).
-        engine: Which contact representation scenario kernels reduce
-            over: ``"grid"`` (the packed dense tensor, default) or
+        engine: Which world scenario kernels query (:meth:`world`):
+            ``"grid"`` (the packed dense tensor, default) or
             ``"intervals"`` (analytic rise/set windows).  A context-level
             execution knob like ``chunk_size`` — never part of
-            :class:`ExperimentConfig`, never in cache keys, set by the
-            CLI's ``--engine``.  The engines agree within one coarse-scan
-            step per contact edge (``oracle.intervals`` quantifies it).
+            :class:`ExperimentConfig`, set by the CLI's ``--engine``, and
+            settable on a live context.  The engines agree within one
+            coarse-scan step per contact edge (``oracle.intervals``
+            quantifies it).
     """
 
     def __init__(
@@ -215,22 +232,13 @@ class ExperimentContext:
         return geometry
 
     def visibility(
-        self,
-        config: ExperimentConfig,
-        pool_seed: int = 0,
-        out_allocator: Optional[Callable[[Tuple[int, int, int]], np.ndarray]] = None,
+        self, config: ExperimentConfig, pool_seed: int = 0
     ) -> PackedVisibility:
         """Packed visibility of the full pool at every experiment site.
 
-        This is the one expensive computation (~30-60 s for a week at
-        60-120 s steps); everything downstream is boolean reductions.
-        Cached per (pool seed, step, elevation mask, horizon).
-
-        ``out_allocator`` (cache-miss only) is called with the packed shape
-        ``(S, N, ceil(T/8))`` and must return uint8 storage to pack into —
-        the parallel runner allocates a shared-memory segment here so the
-        tensor is born shared instead of copied afterwards (see
-        :func:`repro.runner.shared.ensure_shared_visibility`).
+        The grid engine's world: the one expensive computation (~30-60 s
+        for a week at 60-120 s steps); everything downstream is boolean
+        reductions.  Cached per (pool seed, step, elevation mask, horizon).
         """
         key = visibility_cache_key(config, pool_seed)
         if key not in self._visibility:
@@ -240,18 +248,10 @@ class ExperimentContext:
                 "(pool_seed=%d step=%.0fs mask=%.1fdeg duration=%.0fs)",
                 *key,
             )
-            sites = [
-                city.terminal(min_elevation_deg=config.min_elevation_deg)
-                for city in ALL_SITES
-            ]
+            sites = _terminals(config)
             grid = config.grid()
             propagator = self.pool_propagator(pool_seed)
             geometry = self.site_geometry(sites, grid)
-            out = None
-            if out_allocator is not None:
-                out = out_allocator(
-                    (geometry.n_sites, propagator.count, (grid.count + 7) // 8)
-                )
             start = time.perf_counter()
             with span("visibility.build"):
                 self._visibility[key] = packed_visibility(
@@ -260,7 +260,6 @@ class ExperimentContext:
                     grid,
                     chunk_size=self.chunk_size,
                     geometry=geometry,
-                    out=out,
                 )
             elapsed = time.perf_counter() - start
             _VIS_BUILD_SECONDS.observe(elapsed)
@@ -288,10 +287,7 @@ class ExperimentContext:
                 "(pool_seed=%d step=%.0fs mask=%.1fdeg duration=%.0fs)",
                 *key,
             )
-            sites = [
-                city.terminal(min_elevation_deg=config.min_elevation_deg)
-                for city in ALL_SITES
-            ]
+            sites = _terminals(config)
             grid = config.grid()
             propagator = self.pool_propagator(pool_seed)
             geometry = self.site_geometry(sites, grid)
@@ -316,148 +312,133 @@ class ExperimentContext:
             _INT_HITS.inc()
         return self._intervals[key]
 
-    def install_visibility(
-        self,
-        config: ExperimentConfig,
-        visibility: PackedVisibility,
-        pool_seed: int = 0,
-    ) -> None:
-        """Seed the cache with an externally built tensor.
+    def world(self, config: ExperimentConfig, pool_seed: int = 0) -> World:
+        """The engine's contact world of the full pool at every site.
 
-        Parallel workers attach the parent's tensor from shared memory and
+        :meth:`visibility` on the grid engine, :meth:`contact_intervals`
+        on the intervals engine — the same cache entries, so a world built
+        through either is the world every kernel queries.
+        """
+        if self.engine == ENGINE_INTERVALS:
+            return self.contact_intervals(config, pool_seed)
+        return self.visibility(config, pool_seed)
+
+    def world_key(self, config: ExperimentConfig, pool_seed: int = 0) -> tuple:
+        """What identifies :meth:`world`'s answer: engine plus cache key."""
+        return (self.engine, visibility_cache_key(config, pool_seed))
+
+    def _worlds(self) -> Dict[VisibilityKey, World]:
+        """The live world cache of the current engine."""
+        if self.engine == ENGINE_INTERVALS:
+            return self._intervals
+        return self._visibility
+
+    def install_world(
+        self, config: ExperimentConfig, world: World, pool_seed: int = 0
+    ) -> None:
+        """Seed the current engine's cache with an externally built world.
+
+        Parallel workers attach the parent's world from shared memory and
         install it here, so scenario kernels hit the cache instead of
-        triggering a per-worker rebuild (or a ~100 MB pickle).
+        triggering a per-worker rebuild.
         """
-        self._visibility[visibility_cache_key(config, pool_seed)] = visibility
+        self._worlds()[visibility_cache_key(config, pool_seed)] = world
 
-    def install_intervals(
-        self,
-        config: ExperimentConfig,
-        contacts: ContactIntervals,
-        pool_seed: int = 0,
-    ) -> None:
-        """Seed the cache with externally built contact windows.
+    def cached_worlds(self) -> Dict[VisibilityKey, World]:
+        """A copy of the current engine's world cache (tests inspect keying)."""
+        return dict(self._worlds())
 
-        The intervals-engine sibling of :meth:`install_visibility`:
-        parallel workers attach the parent's CSR interval arrays from
-        shared memory (or receive a pickled copy on platforms without it)
-        and install them here, so ``ctx.contacts()`` hits the cache
-        instead of re-scanning the whole horizon per worker.
-        """
-        self._intervals[visibility_cache_key(config, pool_seed)] = contacts
+    def worker_copy(self) -> "ExperimentContext":
+        """An empty context with this one's execution knobs (engine, chunk
+        size): what a parallel worker process starts from."""
+        return ExperimentContext(chunk_size=self.chunk_size, engine=self.engine)
 
-    def subset_query(self, config: ExperimentConfig, fleet=None, pool_seed: int = 0):
-        """An engine-appropriate subset-query object, cached per fleet.
+    def subset_query(
+        self, config: ExperimentConfig, fleet=None, pool_seed: int = 0
+    ) -> World:
+        """The world a subset experiment queries, cached per fleet.
 
-        Returns a :class:`repro.sim.kernels.subsets.SubsetQuery` (grid) or
-        :class:`repro.sim.intervals.IntervalSubsetQuery` (intervals) whose
-        precompute covers exactly ``fleet`` (pool indices; None = the whole
-        pool).  Attrition/withdrawal-style experiments pay the precompute
-        once and answer every composition with a cheap masked reduction.
+        ``fleet`` (pool indices; None = the whole pool) scopes the world:
+        pool-wide this is :meth:`world` itself, otherwise a world over the
+        fleet only that still takes pool indices.  Attrition/withdrawal
+        experiments pay the precompute once and answer every composition
+        with a cheap masked reduction.
 
-        When the full-pool artifact is already cached the precompute is a
-        free row gather; on a cold cache with a small fleet the build is
+        When the full-pool world is already cached the fleet world is its
+        :meth:`restrict` (a row gather); on a cold cache the build is
         *fleet-scoped* — the einsum/trig scale with the fleet, not the
         pool, which is the ~50x win behind ``ablation_failures``.  Both
         paths yield bit-identical query results (all-circular pool;
         pinned by tests/sim/test_subsets.py).
         """
-        from repro.sim.intervals import IntervalSubsetQuery
-        from repro.sim.kernels.subsets import SubsetQuery, _as_sorted_fleet
-
-        sorted_fleet = None if fleet is None else _as_sorted_fleet(fleet)
-        base_key = visibility_cache_key(config, pool_seed)
+        if fleet is not None:
+            fleet = as_fleet(fleet, self.pool_propagator(pool_seed).count)
         key = (
-            base_key,
-            self.engine,
-            None if sorted_fleet is None else sorted_fleet.tobytes(),
+            self.world_key(config, pool_seed),
+            None if fleet is None else fleet.tobytes(),
         )
-        cached = self._subsets.get(key)
-        if cached is not None:
+        world = self._subsets.get(key)
+        if world is not None:
             _SUBSET_HITS.inc()
-            return cached
+            return world
         _SUBSET_MISSES.inc()
-        if self.engine == ENGINE_INTERVALS:
-            if sorted_fleet is None or base_key in self._intervals:
-                query = IntervalSubsetQuery.from_contacts(
-                    self.contact_intervals(config, pool_seed), sorted_fleet
-                )
-            else:
-                query = IntervalSubsetQuery(
-                    self._fleet_scoped_intervals(config, pool_seed, sorted_fleet),
-                    sorted_fleet,
-                )
+        if fleet is None:
+            world = self.world(config, pool_seed)
+        elif visibility_cache_key(config, pool_seed) in self._worlds():
+            world = self.world(config, pool_seed).restrict(fleet)
         else:
-            if sorted_fleet is None or base_key in self._visibility:
-                query = SubsetQuery.from_visibility(
-                    self.visibility(config, pool_seed), sorted_fleet
-                )
-            else:
-                sites = [
-                    city.terminal(min_elevation_deg=config.min_elevation_deg)
-                    for city in ALL_SITES
-                ]
-                grid = config.grid()
-                with span("subsets.build"):
-                    query = SubsetQuery.build(
-                        self.pool_propagator(pool_seed),
-                        self.site_geometry(sites, grid),
-                        grid,
-                        sorted_fleet,
-                        chunk_size=self.chunk_size,
-                    )
-        self._subsets[key] = query
-        return query
+            world = self._fleet_world(config, pool_seed, fleet)
+        self._subsets[key] = world
+        return world
 
-    def _fleet_scoped_intervals(
-        self, config: ExperimentConfig, pool_seed: int, sorted_fleet: np.ndarray
-    ) -> ContactIntervals:
-        """Contact windows of one fleet only (satellite axis = fleet order)."""
-        sites = [
-            city.terminal(min_elevation_deg=config.min_elevation_deg)
-            for city in ALL_SITES
-        ]
+    def _fleet_world(
+        self, config: ExperimentConfig, pool_seed: int, fleet: np.ndarray
+    ) -> World:
+        """The engine's world of one fleet only, built from scratch."""
+        sites = _terminals(config)
         grid = config.grid()
-        propagator = self.pool_propagator(pool_seed).subset(sorted_fleet)
+        pool = self.pool_propagator(pool_seed)
+        build = (
+            find_contact_intervals
+            if self.engine == ENGINE_INTERVALS
+            else packed_visibility
+        )
         with span("subsets.build"):
-            return find_contact_intervals(
-                propagator,
+            world = build(
+                pool.subset(fleet),
                 sites,
                 grid,
                 geometry=self.site_geometry(sites, grid),
                 chunk_size=self.chunk_size,
             )
-
-    def cached_visibility(self) -> Dict[VisibilityKey, PackedVisibility]:
-        """A copy of the live visibility cache (tests inspect keying)."""
-        return dict(self._visibility)
-
-    def cached_intervals(self) -> Dict[VisibilityKey, ContactIntervals]:
-        """A copy of the live contact-interval cache (tests inspect keying)."""
-        return dict(self._intervals)
+        world.fleet, world.pool_size = fleet, pool.count
+        return world
 
     def cached_pool_seeds(self) -> Tuple[int, ...]:
         return tuple(sorted(self._pools))
 
     def dispose_segments(self) -> None:
-        """Release shared-memory segments owned by cached artifacts.
+        """Release shared-memory segments owned by cached worlds.
 
-        An artifact whose ``segment`` is set was packed straight into a
+        A world whose ``segment`` is set was copied into a
         ``multiprocessing.shared_memory`` segment this context owns (the
-        parallel-runner path); its arrays are views into that segment, so
-        callers must drop the artifact (:meth:`clear`) along with the
-        segment.  Covers both the packed visibility tensors and the CSR
-        contact-interval arrays.  Idempotent; workers never own segments
-        (their attached artifacts have ``segment is None``), so this never
-        unlinks memory out from under a sibling process.
+        parallel-runner path, :func:`repro.runner.shared.share_world`) and
+        its arrays are views into that segment.  They are rebound onto heap
+        copies first: closing the segment unmaps the views, and a caller
+        still holding the world would read unmapped memory.  Idempotent;
+        workers never own segments (their attached worlds have ``segment
+        is None``), so this never unlinks memory out from under a sibling
+        process.
         """
         cached = list(self._visibility.values())
         cached.extend(self._intervals.values())
-        for artifact in cached:
-            segment = getattr(artifact, "segment", None)
+        for world in cached:
+            segment = getattr(world, "segment", None)
             if segment is None:
                 continue
-            artifact.segment = None
+            for name, view in world.share_state()[0].items():
+                setattr(world, name, view.copy())
+            world.segment = None
             try:
                 segment.close()
             except OSError:  # pragma: no cover - already closed
@@ -486,7 +467,7 @@ class ExperimentContext:
             pool.dispose()
 
     def clear(self) -> None:
-        """Drop every cached pool/visibility/geometry this context owns.
+        """Drop every cached pool/world/geometry this context owns.
 
         Also tears down the persistent worker pool: its workers map the
         shared segments disposed below, and the next parallel run must
@@ -506,7 +487,7 @@ class ExperimentContext:
         self._subsets.clear()
 
 
-#: Contexts holding shared-memory-backed tensors; their segments must be
+#: Contexts holding shared-memory-backed worlds; their segments must be
 #: unlinked before interpreter exit or the OS keeps the /dev/shm files.
 #: Weak so contexts stay garbage-collectable; pool *worker* processes never
 #: register here (they exit via os._exit and own no segments anyway).
@@ -514,6 +495,7 @@ _SEGMENT_OWNERS: "weakref.WeakSet[ExperimentContext]" = weakref.WeakSet()
 
 
 def _register_segment_owner(context: ExperimentContext) -> None:
+    """Unlink ``context``'s segments at interpreter exit if still owned."""
     _SEGMENT_OWNERS.add(context)
 
 
@@ -560,7 +542,7 @@ def clear_caches() -> None:
 #: was measurable noise in exactly those hot loops.
 _CITY_WEIGHTS: Optional[np.ndarray] = None
 
-#: City rows of the visibility tensor (sites 1..21) as a fancy index.
+#: City rows of a world's per-site answers (sites 1..21) as a fancy index.
 _CITY_ROWS = np.array(CITY_INDICES)
 
 
@@ -574,29 +556,12 @@ def city_weights() -> np.ndarray:
     return _CITY_WEIGHTS
 
 
-def weighted_city_coverage_fraction(
-    visibility: PackedVisibility, sat_indices: np.ndarray
-) -> float:
-    """Population-weighted coverage over the 21 cities for a pool subset."""
-    fractions = visibility.coverage_fractions(sat_indices)
-    return float(city_weights() @ fractions[_CITY_ROWS])
+def weighted_city_coverage(world: World, sat_indices) -> float:
+    """Population-weighted coverage over the 21 cities for a pool subset.
 
-
-def weighted_city_coverage_from_intervals(
-    contacts: ContactIntervals, sat_indices: np.ndarray
-) -> float:
-    """:func:`weighted_city_coverage_fraction` on the intervals engine."""
-    fractions = contacts.coverage_fractions(sat_indices)
-    return float(city_weights() @ fractions[_CITY_ROWS])
-
-
-def weighted_city_coverage(reducer, sat_indices) -> float:
-    """Population-weighted city coverage via any ``coverage_fractions`` source.
-
-    Works uniformly over :class:`~repro.sim.visibility.PackedVisibility`,
-    :class:`~repro.sim.intervals.ContactIntervals`, and the engine's
-    subset-query objects (:meth:`ExperimentContext.subset_query`), all of
-    which return per-site fractions in :data:`ALL_SITES` order.
+    ``world`` is any contact world (:meth:`ExperimentContext.world` or
+    :meth:`ExperimentContext.subset_query`); both engines return per-site
+    fractions in :data:`ALL_SITES` order.
     """
-    fractions = reducer.coverage_fractions(sat_indices)
+    fractions = world.coverage_fractions(sat_indices)
     return float(city_weights() @ fractions[_CITY_ROWS])

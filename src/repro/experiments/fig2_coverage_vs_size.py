@@ -87,8 +87,8 @@ class Fig2Scenario(Scenario):
         # The subset draw happens before any engine branch, so both
         # engines evaluate identical satellite samples.
         indices = ctx.rng.choice(ctx.pool_size(), size=ctx.point, replace=False)
-        if ctx.engine == ENGINE_INTERVALS:
-            contacts = ctx.contacts()
+        if ctx.context.engine == ENGINE_INTERVALS:
+            contacts = ctx.world()
             union = contacts.site_union(TAIPEI_INDEX, indices)
             uncovered = 100.0 * (1.0 - union.coverage_fraction)
             gaps = union.gap_lengths_s()
@@ -98,7 +98,7 @@ class Fig2Scenario(Scenario):
                     contacts, indices, union, ctx.context.pool(ctx.pool_seed)
                 )
             return (float(uncovered), max_gap)
-        visibility = ctx.visibility()
+        visibility = ctx.world()
         mask = visibility.site_mask(TAIPEI_INDEX, indices)
         uncovered = 100.0 * (1.0 - mask.mean())
         gaps = gap_lengths_s(mask, ctx.config.grid().step_s)

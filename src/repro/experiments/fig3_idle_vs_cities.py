@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.experiments.common import (
     CITY_INDICES,
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
 )
@@ -74,14 +73,9 @@ class Fig3Scenario(Scenario):
         sat_indices = ctx.rng.choice(
             ctx.pool_size(), size=self.sample_size, replace=False
         )
-        if ctx.engine == ENGINE_INTERVALS:
-            active = ctx.contacts().satellite_active_fractions(
-                sat_indices=sat_indices, site_indices=site_indices
-            )
-        else:
-            active = ctx.visibility().satellite_active_fractions(
-                sat_indices=sat_indices, site_indices=site_indices
-            )
+        active = ctx.world().satellite_active_fractions(
+            sat_indices=sat_indices, site_indices=site_indices
+        )
         return float(100.0 * (1.0 - active).mean())
 
     def reduce(

@@ -17,11 +17,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.common import (
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage_fraction,
-    weighted_city_coverage_from_intervals,
+    weighted_city_coverage,
 )
 from repro.runner import RunContext, Scenario, run_scenario
 
@@ -70,20 +68,10 @@ class Fig4aScenario(Scenario):
         return list(self.base_sizes)
 
     def run_one(self, ctx: RunContext, run_index: int) -> float:
-        if ctx.engine == ENGINE_INTERVALS:
-            contacts = ctx.contacts()
+        world = ctx.world()
 
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_from_intervals(contacts, indices)
-                )
-        else:
-            visibility = ctx.visibility()
-
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_fraction(visibility, indices)
-                )
+        def coverage(indices: np.ndarray) -> float:
+            return weighted_city_coverage(world, indices)
 
         draw = ctx.rng.choice(ctx.pool_size(), size=ctx.point + 1, replace=False)
         base, extra = draw[:-1], draw

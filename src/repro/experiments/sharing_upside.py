@@ -17,11 +17,9 @@ import numpy as np
 
 from repro.core.sharing import SharingUpside, sharing_upside
 from repro.experiments.common import (
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
-    weighted_city_coverage_fraction,
-    weighted_city_coverage_from_intervals,
+    weighted_city_coverage,
 )
 from repro.runner import RunContext, Scenario, run_scenario
 
@@ -71,20 +69,10 @@ class SharingUpsideScenario(Scenario):
         return [*self.calibration_sizes, NETWORK_POINT]
 
     def run_one(self, ctx: RunContext, run_index: int) -> Any:
-        if ctx.engine == ENGINE_INTERVALS:
-            contacts = ctx.contacts()
+        world = ctx.world()
 
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_from_intervals(contacts, indices)
-                )
-        else:
-            visibility = ctx.visibility()
-
-            def coverage(indices: np.ndarray) -> float:
-                return float(
-                    weighted_city_coverage_fraction(visibility, indices)
-                )
+        def coverage(indices: np.ndarray) -> float:
+            return weighted_city_coverage(world, indices)
 
         if ctx.point == NETWORK_POINT:
             network = ctx.rng.choice(

@@ -19,12 +19,7 @@ from repro.runner.scenario import (
     run_rng,
     run_seed_sequence,
 )
-from repro.runner.shared import (
-    SharedVisibilityHandle,
-    attach_packed_visibility,
-    share_packed_visibility,
-    unlink_shared_visibility,
-)
+from repro.runner.shared import WorldHandle, attach_world, share_world
 
 __all__ = [
     "MonteCarloRunner",
@@ -32,11 +27,10 @@ __all__ = [
     "PersistentPool",
     "RunContext",
     "Scenario",
-    "SharedVisibilityHandle",
-    "attach_packed_visibility",
+    "WorldHandle",
+    "attach_world",
     "run_rng",
     "run_scenario",
     "run_seed_sequence",
-    "share_packed_visibility",
-    "unlink_shared_visibility",
+    "share_world",
 ]

@@ -21,20 +21,20 @@ objects, and figure rows are byte-identical for every N.
 Parallel execution
 ------------------
 
-Workers are plain ``multiprocessing`` pool processes.  The engine's world
-state — the ~100 MB packed visibility tensor on the grid engine, the CSR
-contact-window arrays on the intervals engine — is exported once through
-:mod:`multiprocessing.shared_memory` (:mod:`repro.runner.shared`) and
-installed into each worker's
+Workers are plain ``multiprocessing`` pool processes.  The context's world
+— the ~100 MB packed visibility tensor on the grid engine, the CSR
+contact-window arrays on the intervals engine — is shared once through
+:mod:`multiprocessing.shared_memory` (:func:`repro.runner.shared.
+share_world`) and installed into each worker's
 :class:`~repro.experiments.common.ExperimentContext` at pool startup, so
 spawning N workers costs N page-table mappings, not N artifact pickles.
 A platform that refuses shared memory fails the parallel run with the
 ``OSError`` on both engines.
 
 The pool itself is **persistent**: worker initialization installs world
-state only (config, shared tensor/windows, engine), and each task ships
-its scenario alongside the run indices, so one warm pool serves every
-scenario of a CLI invocation back to back
+state only (config, an empty copy of the context, the shared world), and
+each task ships its scenario alongside the run indices, so one warm pool
+serves every scenario of a CLI invocation back to back
 (:class:`~repro.runner.pool.PersistentPool`).  The pool is owned by the
 :class:`~repro.experiments.common.ExperimentContext` and torn down on
 ``context.clear()``, on worker loss, or when a run needs incompatible
@@ -74,12 +74,9 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.common import (
-    ENGINE_GRID,
-    ENGINE_INTERVALS,
     ExperimentConfig,
     ExperimentContext,
     default_context,
-    visibility_cache_key,
 )
 from repro.obs import bus as obs_bus
 from repro.obs import get_logger, metrics
@@ -89,14 +86,7 @@ from repro.obs.timeline import TimelineEvent
 from repro.obs.trace import span
 from repro.runner.pool import PersistentPool
 from repro.runner.scenario import RunContext, Scenario, run_rng
-from repro.runner.shared import (
-    SharedIntervalsHandle,
-    SharedVisibilityHandle,
-    attach_contact_intervals,
-    attach_packed_visibility,
-    ensure_shared_intervals,
-    ensure_shared_visibility,
-)
+from repro.runner.shared import WorldHandle, attach_world, share_world
 
 _LOG = get_logger(__name__)
 
@@ -299,23 +289,16 @@ class MonteCarloRunner:
         """Everything that shapes worker-side state, as a reuse key.
 
         Two runs may share a warm pool only when their workers would have
-        been initialized identically: same engine, same config, same
-        world-state cache entry (``None`` for scenarios that never read the
-        pool tensor), and — in live mode — the same bus.
-        ``context.clear()`` disposes the pool, so a matching cache key
-        implies the workers' attached world state is still current.
+        been initialized identically: same world (engine and cache entry),
+        whether the world was attached (scenarios that never read the pool
+        get none), same config, and — in live mode — the same bus.
+        ``context.clear()`` disposes the pool, so a matching key implies
+        the workers' attached world is still current.
         """
-        engine = self.context.engine
-        world = (
-            (engine, visibility_cache_key(self.config, POOL_SEED))
-            if scenario.uses_pool
-            else None
-        )
         return (
-            engine,
+            self.context.world_key(self.config, POOL_SEED),
+            scenario.uses_pool,
             self.config,
-            POOL_SEED,
-            world,
             live,
             id(self.bus) if live else None,
         )
@@ -337,10 +320,14 @@ class MonteCarloRunner:
                 existing.workers, scenario.name,
             )
             return existing
-        handle, segment = self._shared_handle(scenario)
+        handle = (
+            share_world(self.context, self.config, POOL_SEED)
+            if scenario.uses_pool
+            else None
+        )
         mp_context = _start_context()
         channel = self.bus.open_channel(mp_context) if live else None
-        initargs = (self.config, handle, POOL_SEED, self.context.engine)
+        initargs = (self.config, handle, POOL_SEED, self.context.worker_copy())
         if live:
             initargs = initargs + (channel, self.bus.heartbeat_s)
         pool = PersistentPool(
@@ -349,26 +336,10 @@ class MonteCarloRunner:
             mp_context=mp_context,
             initializer=_init_worker,
             initargs=initargs,
-            segment=segment,
             channel=channel,
         )
         self.context.adopt_worker_pool(pool)
         return pool
-
-    def _shared_handle(self, scenario: Scenario):
-        """The shared-memory world-state handle for pool scenarios (or None).
-
-        Engine-dependent: the grid engine exports the packed visibility
-        tensor, the intervals engine the CSR contact-window arrays.
-        """
-        if not scenario.uses_pool:
-            return None, None
-        if self.context.engine == ENGINE_INTERVALS:
-            return ensure_shared_intervals(self.context, self.config, POOL_SEED)
-        # Cache-aware: on a miss the tensor is chunk-streamed straight
-        # into a context-owned segment (no copy); ``segment`` is only
-        # returned — and unlinked by the caller — for the copy fallback.
-        return ensure_shared_visibility(self.context, self.config, POOL_SEED)
 
     def _merge_payloads(self, payloads: Sequence[_Payload]) -> Dict[_Task, Any]:
         """Fold worker observability into the parent; return samples by task.
@@ -712,9 +683,9 @@ _WORKER: Optional[_WorkerState] = None
 
 def _init_worker(
     config: ExperimentConfig,
-    handle: Any,
+    handle: Optional[WorldHandle],
     pool_seed: int,
-    engine: str = ENGINE_GRID,
+    context: ExperimentContext,
     channel: Optional[obs_bus.BusChannel] = None,
     heartbeat_s: float = obs_bus.DEFAULT_HEARTBEAT_S,
 ) -> None:
@@ -724,24 +695,19 @@ def _init_worker(
     each task, so a persistent pool's workers serve any scenario against
     this (config, engine, world) without reinitialization.
 
-    ``handle`` selects what gets installed: a
-    :class:`~repro.runner.shared.SharedVisibilityHandle` attaches the
-    packed tensor, a :class:`~repro.runner.shared.SharedIntervalsHandle`
-    attaches the CSR contact windows (both zero-copy), and None (a
-    scenario that never reads the pool) installs nothing.  In live mode
+    ``context`` is the parent's :meth:`~repro.experiments.common.
+    ExperimentContext.worker_copy`; ``handle`` names the shared world
+    attached into it (zero-copy), or is None for a scenario that never
+    reads the pool.  In live mode
     (``channel`` given) the worker also announces itself on the bus —
     once per worker lifetime, however many scenarios it serves — and
     starts the daemon heartbeat thread.
     """
     global _WORKER
-    context = ExperimentContext(engine=engine)
     segment = None
-    if isinstance(handle, SharedVisibilityHandle):
-        segment, visibility = attach_packed_visibility(handle)
-        context.install_visibility(config, visibility, pool_seed=pool_seed)
-    elif isinstance(handle, SharedIntervalsHandle):
-        segment, contacts = attach_contact_intervals(handle)
-        context.install_intervals(config, contacts, pool_seed=pool_seed)
+    if handle is not None:
+        segment, world = attach_world(handle)
+        context.install_world(config, world, pool_seed=pool_seed)
     publisher = None
     if channel is not None:
         publisher = obs_bus.WorkerPublisher(channel, f"worker-{os.getpid()}")

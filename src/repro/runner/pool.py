@@ -17,9 +17,9 @@ same workers serve fig2, fig5, and fig6 back to back.
 Ownership: the pool belongs to the :class:`~repro.experiments.common.
 ExperimentContext` that the runner executes against
 (``context.adopt_worker_pool``), so ``context.clear()`` tears the workers
-down along with the cached artifacts they map.  Disposal also releases a
-throwaway shared-memory copy of a heap-backed tensor and the live bus
-channel when the pool owns them.
+down along with the cached world they map (the context, not the pool,
+owns the world's shared-memory segment).  Disposal also closes the live
+bus channel when the pool owns it.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class PersistentPool:
         mp_context: The multiprocessing start context.
         initializer: Worker initializer (module-level, picklable).
         initargs: Its arguments.
-        segment: A parent-owned shared-memory segment to release at
-            disposal (a heap-backed tensor copied for this pool; None when
-            the context owns the segment).
         channel: The live-telemetry bus channel workers publish on (None
             in batch mode).  Closed at disposal.
     """
@@ -60,13 +57,11 @@ class PersistentPool:
         mp_context,
         initializer,
         initargs: Tuple,
-        segment: Optional[Any] = None,
         channel: Optional[Any] = None,
     ) -> None:
         self.key = key
         self.workers = workers
         self.channel = channel
-        self._segment = segment
         self._disposed = False
         self.scenarios_served = 0
         self._pool = mp_context.Pool(
@@ -121,11 +116,6 @@ class PersistentPool:
             self._pool.join()
         except Exception:  # pragma: no cover - best-effort teardown
             _LOG.warning("pool teardown failed", exc_info=True)
-        if self._segment is not None:
-            from repro.runner.shared import unlink_shared_visibility
-
-            unlink_shared_visibility(self._segment)
-            self._segment = None
         if self.channel is not None:
             try:
                 self.channel.close()

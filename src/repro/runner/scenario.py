@@ -39,13 +39,7 @@ from typing import Any, List, Sequence
 
 import numpy as np
 
-from repro.experiments.common import (
-    ENGINE_INTERVALS,
-    ExperimentConfig,
-    ExperimentContext,
-)
-from repro.sim.intervals import ContactIntervals
-from repro.sim.visibility import PackedVisibility
+from repro.experiments.common import ExperimentConfig, ExperimentContext, World
 
 
 def run_seed_sequence(
@@ -72,7 +66,7 @@ class RunContext:
 
     Attributes:
         config: The experiment configuration.
-        context: The artifact cache (pool + visibility) this run reads.
+        context: The artifact cache (pool + world) this run reads.
         point: The sweep-axis value being evaluated.
         point_index: Its index on the sweep axis (part of the RNG seed).
         run_index: The repetition number (part of the RNG seed).
@@ -88,24 +82,15 @@ class RunContext:
     rng: np.random.Generator = field(repr=False)
     pool_seed: int = 0
 
-    def visibility(self) -> PackedVisibility:
-        """The packed visibility tensor for this run's configuration."""
-        return self.context.visibility(self.config, self.pool_seed)
+    def world(self) -> World:
+        """The context's contact world for this run's configuration."""
+        return self.context.world(self.config, self.pool_seed)
 
-    def contacts(self) -> ContactIntervals:
-        """The analytic contact intervals for this run's configuration."""
-        return self.context.contact_intervals(self.config, self.pool_seed)
-
-    def subset_query(self, fleet=None):
-        """An engine-appropriate subset-coverage query (see
+    def subset_query(self, fleet=None) -> World:
+        """The world scoped to ``fleet`` (see
         :meth:`ExperimentContext.subset_query`).  Pool-wide by default;
         pass ``fleet`` to scope the precompute to a fixed satellite set."""
         return self.context.subset_query(self.config, fleet, self.pool_seed)
-
-    @property
-    def engine(self) -> str:
-        """The context's contact engine (``"grid"`` or ``"intervals"``)."""
-        return self.context.engine
 
     def pool_size(self) -> int:
         """Number of satellites in the sampling pool."""
@@ -126,9 +111,9 @@ class Scenario(abc.ABC):
             scenarios at the same seed never draw correlated samples; the
             values carry over from the old per-figure ``config.rng(salt=N)``
             streams.
-        uses_pool: Whether kernels read the packed pool visibility.  When
-            True the runner builds the tensor once up front (and exports it
-            to workers over shared memory in parallel mode).
+        uses_pool: Whether kernels read the pool's contact world.  When
+            True the runner builds the world once up front (and shares it
+            with workers over shared memory in parallel mode).
     """
 
     name: str = "scenario"
@@ -138,10 +123,7 @@ class Scenario(abc.ABC):
     def prepare(self, context: ExperimentContext, config: ExperimentConfig) -> None:
         """Build shared artifacts before any kernel runs (parent process)."""
         if self.uses_pool:
-            if context.engine == ENGINE_INTERVALS:
-                context.contact_intervals(config)
-            else:
-                context.visibility(config)
+            context.world(config)
 
     @abc.abstractmethod
     def sweep(

@@ -373,9 +373,19 @@ class ContactIntervals:
     ``truncated_start`` / ``truncated_end`` flag windows clipped by the
     horizon rather than closed by a real elevation crossing.
 
+    The intervals engine's *world*: it answers the query contract it
+    shares with :class:`repro.sim.visibility.PackedVisibility`
+    (``coverage_fractions``, ``satellite_active_fractions``,
+    ``k_coverage_fraction``, ``restrict``) with the same index rules
+    (:func:`repro.sim.kernels.index_array`): a negative or out-of-range
+    site or satellite raises :class:`IndexError`.  ``fleet`` is None for a
+    pool-wide world; a restricted (:meth:`restrict`) or fleet-scoped world
+    holds columns for the sorted pool indices in ``fleet`` only and still
+    takes pool indices in ``[0, pool_size)``.
+
     ``segment`` is set when the CSR arrays are views into a
     ``multiprocessing.shared_memory`` segment this object's owning context
-    holds (see :func:`repro.runner.shared.ensure_shared_intervals`); it is
+    holds (see :func:`repro.runner.shared.share_world`); it is
     process-local state and never pickles.
 
     ``streams`` caches one :class:`EventStream` per grouping the subset
@@ -399,6 +409,8 @@ class ContactIntervals:
         "truncated_start",
         "truncated_end",
         "pair_offsets",
+        "fleet",
+        "pool_size",
         "segment",
         "streams",
         "activity",
@@ -418,6 +430,8 @@ class ContactIntervals:
         truncated_start: np.ndarray,
         truncated_end: np.ndarray,
         pair_offsets: np.ndarray,
+        fleet: Optional[np.ndarray] = None,
+        pool_size: Optional[int] = None,
     ) -> None:
         self.n_sites = int(n_sites)
         self.n_satellites = int(n_satellites)
@@ -428,10 +442,14 @@ class ContactIntervals:
         self.truncated_start = truncated_start
         self.truncated_end = truncated_end
         self.pair_offsets = pair_offsets
+        self.fleet = fleet
+        self.pool_size = self.n_satellites if pool_size is None else int(pool_size)
         self._reset_local_state()
         expected = self.n_sites * self.n_satellites + 1
         if pair_offsets.shape != (expected,):
             raise ValueError("pair_offsets length must be n_sites*n_sats + 1")
+        if fleet is not None and fleet.size != self.n_satellites:
+            raise ValueError("fleet must name one pool index per column")
 
     def __getstate__(self):
         # Shared-memory segments are process-local handles; a pickled copy
@@ -473,20 +491,46 @@ class ContactIntervals:
             + self.pair_offsets.nbytes
         )
 
+    def share_state(self):
+        """``(arrays, scalars)``: the constructor arguments that rebuild
+        this world, split into what shared memory holds and the rest."""
+        arrays = {
+            name: getattr(self, name)
+            for name in (
+                "rise_s", "set_s", "pair_offsets", "truncated_start", "truncated_end",
+            )
+        }
+        if self.fleet is not None:
+            arrays["fleet"] = self.fleet
+        return arrays, {
+            "n_sites": self.n_sites,
+            "n_satellites": self.n_satellites,
+            "start_s": self.start_s,
+            "end_s": self.end_s,
+            "pool_size": self.pool_size,
+        }
+
     # -- index helpers ----------------------------------------------------
 
     def _sat_array(self, sat_indices) -> np.ndarray:
+        """Local columns of pool-index satellites (None = every column)."""
         if sat_indices is None:
             return np.arange(self.n_satellites, dtype=np.intp)
-        return np.asarray(sat_indices, dtype=np.intp).reshape(-1)
+        return kernels.fleet_rows(sat_indices, self.fleet, self.pool_size)
 
     def _site_array(self, site_indices) -> np.ndarray:
         if site_indices is None:
             return np.arange(self.n_sites, dtype=np.intp)
-        return np.asarray(site_indices, dtype=np.intp).reshape(-1)
+        return kernels.index_array(site_indices, self.n_sites, "site")
+
+    def _site(self, site_index) -> int:
+        return int(self._site_array([site_index])[0])
+
+    def _sat(self, sat_index) -> int:
+        return int(self._sat_array([sat_index])[0])
 
     def _pair_slice(self, site_index: int, sat_index: int) -> slice:
-        p = int(site_index) * self.n_satellites + int(sat_index)
+        p = self._site(site_index) * self.n_satellites + self._sat(sat_index)
         return slice(int(self.pair_offsets[p]), int(self.pair_offsets[p + 1]))
 
     def _gather(self, pair_ids: np.ndarray) -> np.ndarray:
@@ -569,10 +613,11 @@ class ContactIntervals:
 
     def site_union(self, site_index: int, sat_indices=None) -> IntervalSet:
         """Coverage of one site by a satellite subset (grid ``site_mask``)."""
+        site = self._site(site_index)
         sats = self._sat_array(sat_indices)
         if sats.size == 0:
             return IntervalSet.empty(self.start_s, self.end_s)
-        pair_ids = int(site_index) * self.n_satellites + sats
+        pair_ids = site * self.n_satellites + sats
         flat = self._gather(pair_ids)
         return IntervalSet(
             self.rise_s[flat], self.set_s[flat], self.start_s, self.end_s
@@ -580,10 +625,11 @@ class ContactIntervals:
 
     def satellite_union(self, sat_index: int, site_indices=None) -> IntervalSet:
         """Time a satellite is busy serving any of the given sites."""
+        sat = self._sat(sat_index)
         sites = self._site_array(site_indices)
         if sites.size == 0:
             return IntervalSet.empty(self.start_s, self.end_s)
-        pair_ids = sites * self.n_satellites + int(sat_index)
+        pair_ids = sites * self.n_satellites + sat
         flat = self._gather(pair_ids)
         return IntervalSet(
             self.rise_s[flat], self.set_s[flat], self.start_s, self.end_s
@@ -614,6 +660,7 @@ class ContactIntervals:
         """
         sats = self._sat_array(sat_indices)
         if self.span_s == 0.0:
+            self._site_array(site_indices)  # Bad sites raise here too.
             return np.zeros(sats.size)
         seconds = self.activity.lookup(site_indices, self._active_seconds)
         return seconds[sats] / self.span_s
@@ -628,10 +675,11 @@ class ContactIntervals:
         self, site_index: int, sat_indices=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Step function of simultaneously-visible satellite counts."""
+        site = self._site(site_index)
         sats = self._sat_array(sat_indices)
         if sats.size == 0:
             return np.array([self.start_s]), np.zeros(1, dtype=np.int64)
-        pair_ids = int(site_index) * self.n_satellites + sats
+        pair_ids = site * self.n_satellites + sats
         flat = self._gather(pair_ids)
         return sweep_count_steps(
             self.rise_s[flat], self.set_s[flat], self.start_s
@@ -641,9 +689,9 @@ class ContactIntervals:
         self, site_index: int, k: int, sat_indices=None
     ) -> float:
         """Fraction of the horizon with >= k satellites visible."""
+        times, counts = self.visible_count_steps(site_index, sat_indices)
         if self.span_s == 0.0:
             return 0.0
-        times, counts = self.visible_count_steps(site_index, sat_indices)
         spans = np.diff(np.concatenate([times, [self.end_s]]))
         return float(spans[counts >= k].sum() / self.span_s)
 
@@ -658,19 +706,20 @@ class ContactIntervals:
 
     # -- fleet restriction -------------------------------------------------
 
-    def restrict(self, sat_indices) -> "ContactIntervals":
-        """A compact copy holding only the given satellite columns.
+    def restrict(self, fleet) -> "ContactIntervals":
+        """A compact copy holding only the windows of ``fleet`` (pool indices).
 
-        The returned object's satellite axis is the *position* within
-        ``sat_indices``.  Windows are gathered pair by pair in (site-major,
-        given-order) layout with within-pair order preserved, so any
-        reduction over the restricted CSR is bit-identical to the same
-        reduction over the full CSR with the same satellite list: the
+        The copy's columns are the sorted fleet and it answers queries on
+        pool indices drawn from the fleet.  Windows are gathered pair by
+        pair (site-major, fleet order) with within-pair order preserved,
+        so any reduction over the restricted CSR is bit-identical to the
+        same reduction over this one with the same satellite list: the
         grouped sweep sees the identical multiset of (group, time, delta)
         events, and events equal on all three sort keys are
         interchangeable.
         """
-        sats = self._sat_array(sat_indices)
+        fleet = kernels.as_fleet(fleet, self.pool_size)
+        sats = self._sat_array(fleet)
         sites = np.arange(self.n_sites, dtype=np.intp)
         pair_ids = (sites[:, None] * self.n_satellites + sats[None, :]).ravel()
         flat = self._gather(pair_ids)
@@ -687,79 +736,8 @@ class ContactIntervals:
             truncated_start=np.ascontiguousarray(self.truncated_start[flat]),
             truncated_end=np.ascontiguousarray(self.truncated_end[flat]),
             pair_offsets=offsets,
-        )
-
-
-class IntervalSubsetQuery:
-    """Interval-native subset queries over a fleet-restricted CSR.
-
-    The event-sweep twin of
-    :class:`repro.sim.kernels.subsets.SubsetQuery`: one
-    :meth:`ContactIntervals.restrict` precompute shrinks the window
-    structure to the fleet under study, and the restricted copy sorts its
-    events once per grouping on first query (:class:`EventStream`).  Each
-    subset is then a rank gather of just its windows' events plus one
-    grouped sweep (:func:`sweep_accumulate`).  Query results are
-    bit-identical to calling the full :class:`ContactIntervals` reductions
-    with the same pool indices (see :meth:`ContactIntervals.restrict`).
-
-    ``fleet`` is None for a pool-wide query (subset indices are raw pool
-    indices, delegated without restriction).
-    """
-
-    def __init__(
-        self, contacts: "ContactIntervals", fleet: Optional[np.ndarray] = None
-    ) -> None:
-        self.contacts = contacts
-        self.fleet = fleet
-
-    @classmethod
-    def from_contacts(cls, contacts, fleet=None) -> "IntervalSubsetQuery":
-        if fleet is None:
-            return cls(contacts, None)
-        fleet = np.sort(np.asarray(fleet, dtype=np.intp).reshape(-1))
-        if fleet.size > 1 and np.any(fleet[1:] == fleet[:-1]):
-            raise ValueError("fleet indices must be unique")
-        return cls(contacts.restrict(fleet), fleet)
-
-    @property
-    def n_sites(self) -> int:
-        return self.contacts.n_sites
-
-    @property
-    def n_satellites(self) -> int:
-        """Satellites held by the precompute (the fleet size)."""
-        return self.contacts.n_satellites
-
-    def _local(self, subset):
-        """Map pool-index subsets to restricted columns (identity pool-wide)."""
-        if subset is None or self.fleet is None:
-            return subset
-        subset = np.asarray(subset, dtype=np.intp).reshape(-1)
-        if subset.size == 0:
-            return subset
-        local = np.searchsorted(self.fleet, subset)
-        local = np.minimum(local, self.fleet.size - 1)
-        if self.fleet.size == 0 or not np.array_equal(self.fleet[local], subset):
-            raise KeyError("subset contains satellites outside the fleet")
-        return local
-
-    def coverage_fractions(self, subset=None) -> np.ndarray:
-        """Covered fraction per site (S,) for one satellite subset."""
-        return self.contacts.coverage_fractions(self._local(subset))
-
-    def satellite_active_fractions(
-        self, subset=None, site_indices=None
-    ) -> np.ndarray:
-        """Active fraction per subset satellite (any selected site visible)."""
-        return self.contacts.satellite_active_fractions(
-            self._local(subset), site_indices
-        )
-
-    def k_coverage_fraction(self, site_index: int, k: int, subset=None) -> float:
-        """Fraction of the horizon with >= k subset satellites visible."""
-        return self.contacts.k_coverage_fraction(
-            site_index, int(k), self._local(subset)
+            fleet=fleet,
+            pool_size=self.pool_size,
         )
 
 

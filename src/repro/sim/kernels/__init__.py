@@ -33,8 +33,11 @@ The threshold compare is an elementwise float64 ``>=``, and the packed
 subset reductions share one integer OR+popcount (:func:`or_popcount`,
 exact in any evaluation order).  Per-satellite activity is memoized
 pool-wide, one vector per site set (:class:`ActivityTable`), so a subset
-query gathers counts instead of reducing rows.  Subset-query batch kernels
-over the packed tensor live in :mod:`repro.sim.kernels.subsets`.
+query gathers counts instead of reducing rows.  Both contact worlds
+(:class:`repro.sim.visibility.PackedVisibility` and
+:class:`repro.sim.intervals.ContactIntervals`) read every satellite and
+site selection through :func:`index_array` and :func:`fleet_rows`, so they
+accept and refuse the same selections.
 
 Geometric pair culling
 ----------------------
@@ -85,6 +88,58 @@ def or_popcount(rows: np.ndarray, axis: int) -> np.ndarray:
     return POPCOUNT_TABLE[packed_or].sum(axis=1).astype(np.int64)
 
 
+def index_array(indices, size: int, axis: str = "satellite") -> np.ndarray:
+    """Validate a selection: a flat intp array of positions in ``[0, size)``.
+
+    Unsorted and repeated positions keep their meaning (one answer per
+    entry); an empty selection of any dtype selects nothing.  A negative,
+    out-of-range or non-integer index raises :class:`IndexError` instead of
+    wrapping numpy-style or reading another row.
+    """
+    array = np.asarray(indices)
+    if array.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if array.dtype.kind not in "iu":
+        raise IndexError(f"{axis} indices must be integers, got {array.dtype}")
+    array = array.reshape(-1).astype(np.intp, copy=False)
+    low, high = int(array.min()), int(array.max())
+    if low < 0 or high >= size:
+        bad = low if low < 0 else high
+        raise IndexError(f"{axis} index {bad} out of range [0, {size})")
+    return array
+
+
+def as_fleet(fleet, pool_size: int) -> np.ndarray:
+    """A fleet selection as sorted unique pool indices.
+
+    Raises :class:`IndexError` like :func:`index_array` and
+    :class:`ValueError` on a repeated index.
+    """
+    array = np.sort(index_array(fleet, pool_size, "fleet"))
+    if array.size > 1 and np.any(array[1:] == array[:-1]):
+        raise ValueError("fleet indices must be unique")
+    return array
+
+
+def fleet_rows(
+    indices, fleet: Optional[np.ndarray], pool_size: int
+) -> np.ndarray:
+    """Local rows of pool-index satellites in a world over ``fleet``.
+
+    ``fleet`` is the sorted pool-index array a restricted world holds rows
+    for, or None for a pool-wide world (rows are pool indices).  Invalid
+    pool indices raise :class:`IndexError`; a valid pool index outside the
+    fleet raises :class:`KeyError`.
+    """
+    array = index_array(indices, pool_size)
+    if fleet is None or array.size == 0:
+        return array
+    local = np.minimum(np.searchsorted(fleet, array), max(fleet.size - 1, 0))
+    if fleet.size == 0 or not np.array_equal(fleet[local], array):
+        raise KeyError("subset contains satellites outside the fleet")
+    return local
+
+
 def active_sample_counts(packed: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Samples each satellite is seen by any of ``sites``: (N,) int64.
 
@@ -126,15 +181,14 @@ class ActivityTable:
         """The vector for a site selection (None = every site).
 
         On a miss, ``build(sites)`` computes it from the sorted unique
-        site index array.  The selection is indexed like a numpy index,
-        so negative and out-of-range sites behave as they would there.
+        site index array.  The selection is validated by
+        :func:`index_array`: a negative or out-of-range site raises
+        :class:`IndexError`.
         """
-        sites = np.arange(self.n_sites, dtype=np.intp)
-        if site_indices is not None:
-            selection = np.asarray(site_indices)
-            if selection.size == 0:
-                selection = selection.astype(np.intp)
-            sites = np.unique(sites[selection])
+        if site_indices is None:
+            sites = np.arange(self.n_sites, dtype=np.intp)
+        else:
+            sites = np.unique(index_array(site_indices, self.n_sites, "site"))
         key = sites.tobytes()
         vector = self.vectors.get(key)
         if vector is None:
@@ -602,16 +656,11 @@ def stream_visible_counts(plan: StreamPlan) -> np.ndarray:
     return counts
 
 
-def stream_packed_bits(
-    plan: StreamPlan, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def stream_packed_bits(plan: StreamPlan) -> np.ndarray:
     """Bit-pack the visibility tensor along time, chunk by chunk.
 
     Returns uint8 of shape (S, N, ceil(T/8)); the final partial byte is
-    zero-padded (padding reads "not visible").  ``out`` lets callers pack
-    straight into preallocated storage — the parallel runner passes a view
-    of a ``multiprocessing.shared_memory`` segment, so the pool tensor is
-    born shared instead of being copied into a segment afterwards.
+    zero-padded (padding reads "not visible").
 
     Requires a plan built with ``pack=True`` (chunk a multiple of 8, so
     every chunk lands on a byte boundary).
@@ -620,21 +669,13 @@ def stream_packed_bits(
         raise ValueError("packing needs a plan built with pack=True")
     n_bytes = (plan.grid.count + 7) // 8
     shape = (plan.n_sites, plan.n_satellites, n_bytes)
-    if out is None:
-        # empty + sequential fill, not np.zeros: the packed tensor is a
-        # long-lived cache read by thousands of gather calls, and calloc's
-        # lazily faulted pages (first touched in the scattered per-chunk
-        # write order below) map poorly — downstream reductions measure
-        # ~1.8x slower than on a sequentially first-touched buffer.
-        out = np.empty(shape, dtype=np.uint8)
-        out.fill(0)
-    else:
-        if out.shape != shape or out.dtype != np.uint8:
-            raise ValueError(
-                f"out must be uint8 of shape {shape}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        out[:] = 0
+    # empty + sequential fill, not np.zeros: the packed tensor is a
+    # long-lived cache read by thousands of gather calls, and calloc's
+    # lazily faulted pages (first touched in the scattered per-chunk write
+    # order below) map poorly — downstream reductions measure ~1.8x slower
+    # than on a sequentially first-touched buffer.
+    out = np.empty(shape, dtype=np.uint8)
+    out.fill(0)
     visible_samples = 0
     with span("visibility.pack"):
         for offset, slab in iter_slabs(plan):
@@ -652,8 +693,3 @@ def _finish(plan: StreamPlan, visible_samples: int) -> None:
     record_visibility_metrics(
         plan.n_sites, plan.n_satellites, plan.grid.count, visible_samples
     )
-
-
-# Imported last: the submodule depends on the names above.  Exposed as an
-# attribute so `kernels.subsets` works after `import repro.sim.kernels`.
-from repro.sim.kernels import subsets as subsets  # noqa: E402,F401

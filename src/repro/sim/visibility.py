@@ -49,7 +49,6 @@ from repro.sim.kernels import (  # re-exported: the historical home of these
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_SIZE",
     "ConstellationLike",
     "PackedVisibility",
     "SiteGeometry",
@@ -60,13 +59,6 @@ __all__ = [
 ]
 
 _LOG = get_logger(__name__)
-
-#: Default number of time samples per chunk for the *materialized* path
-#: and the packed pool build (the full tensor / packed cache dominates the
-#: footprint anyway).  The streaming reductions default to the adaptive
-#: :func:`repro.sim.kernels.default_chunk_size` — for them the chunk IS
-#: the footprint.
-DEFAULT_CHUNK_SIZE = 2048
 
 ConstellationLike = Union[Constellation, Sequence[OrbitalElements], BatchPropagator]
 
@@ -91,6 +83,9 @@ class VisibilityEngine:
     time and never allocate the full tensor.  :meth:`visibility` still
     materializes (S, N, T) — it is the exact reference the streaming paths
     are validated against, and some callers genuinely need the tensor.
+    Every path slabs time by ``chunk_size``; None defers to the adaptive
+    :func:`repro.sim.kernels.default_chunk_size`, sized per population at
+    plan time.
 
     Example:
         >>> from repro.sim import TimeGrid, VisibilityEngine
@@ -102,13 +97,7 @@ class VisibilityEngine:
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.grid = grid
-        #: Chunk of the materialized :meth:`visibility` path.
-        self.chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
-        #: Chunk of the streaming reductions; an explicit ``chunk_size``
-        #: governs both paths.  ``None`` defers to the adaptive default
-        #: (:func:`repro.sim.kernels.default_chunk_size`), which sizes the
-        #: slab per population at plan time.
-        self.stream_chunk_size = chunk_size
+        self.chunk_size = chunk_size
 
     def _site_units_eci(
         self, sites: Sequence[GroundSite], times_s: np.ndarray
@@ -121,9 +110,7 @@ class VisibilityEngine:
         constellation: ConstellationLike,
         sites: Sequence[GroundSite],
         geometry: Optional[SiteGeometry],
-        chunk_size: Optional[int],
         cull: bool,
-        pack: bool = False,
     ) -> kernels.StreamPlan:
         if geometry is None:
             if not sites:
@@ -133,9 +120,8 @@ class VisibilityEngine:
             _as_propagator(constellation),
             geometry,
             self.grid,
-            chunk_size=chunk_size,
+            chunk_size=self.chunk_size,
             cull=cull,
-            pack=pack,
         )
 
     def visibility(
@@ -159,7 +145,7 @@ class VisibilityEngine:
         Returns:
             Boolean array of shape (S, N, T).
         """
-        plan = self._plan(constellation, sites, geometry, self.chunk_size, cull)
+        plan = self._plan(constellation, sites, geometry, cull)
         visible = np.empty(
             (plan.n_sites, plan.n_satellites, self.grid.count), dtype=bool
         )
@@ -182,7 +168,7 @@ class VisibilityEngine:
     ) -> np.ndarray:
         """Per-site coverage mask: (S, T) — true when any satellite is visible."""
         return kernels.stream_site_coverage(
-            self._plan(constellation, sites, geometry, self.stream_chunk_size, cull)
+            self._plan(constellation, sites, geometry, cull)
         )
 
     def satellite_activity(
@@ -198,7 +184,7 @@ class VisibilityEngine:
         user terminal"; idle time is the complement.
         """
         return kernels.stream_satellite_activity(
-            self._plan(constellation, sites, geometry, self.stream_chunk_size, cull)
+            self._plan(constellation, sites, geometry, cull)
         )
 
     def visible_counts(
@@ -214,7 +200,7 @@ class VisibilityEngine:
         satellites), which is exact — the count axis is bounded by N.
         """
         return kernels.stream_visible_counts(
-            self._plan(constellation, sites, geometry, self.stream_chunk_size, cull)
+            self._plan(constellation, sites, geometry, cull)
         )
 
 
@@ -222,7 +208,7 @@ def visibility_matrix(
     constellation: ConstellationLike,
     sites: Sequence[GroundSite],
     grid: TimeGrid,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Convenience wrapper: one-shot visibility tensor (S, N, T)."""
     return VisibilityEngine(grid, chunk_size=chunk_size).visibility(
@@ -249,29 +235,63 @@ class PackedVisibility:
     bits, which is neutral for every OR/popcount reduction as long as counts
     use the true sample count ``n_times``.
 
-    Build instances with :func:`packed_visibility`.  ``segment`` is set by
-    the parallel runner when ``packed`` is a view into a
-    ``multiprocessing.shared_memory`` segment this process owns; whoever
-    caches the instance disposes the segment
+    The grid engine's *world*: it answers the query contract it shares with
+    :class:`repro.sim.intervals.ContactIntervals` (``coverage_fractions``,
+    ``satellite_active_fractions``, ``k_coverage_fraction``, ``restrict``)
+    with the same index rules (:func:`repro.sim.kernels.index_array`).
+    ``fleet`` is None for a pool-wide tensor; a restricted
+    (:meth:`restrict`) or fleet-scoped tensor holds rows for the sorted
+    pool indices in ``fleet`` only and still takes pool indices in
+    ``[0, pool_size)``.
+
+    Build instances with :func:`packed_visibility`.  ``segment`` is set
+    when ``packed`` is a view into a ``multiprocessing.shared_memory``
+    segment this process owns (:func:`repro.runner.shared.share_world`);
+    whoever caches the instance disposes the segment
     (:meth:`repro.experiments.common.ExperimentContext.clear`).
 
     ``activity`` is a process-local :class:`repro.sim.kernels.ActivityTable`
-    of pool-wide active-sample counts, one vector per site set, filled by
-    :meth:`satellite_active_fractions`; an instance attached to a shared
+    of active-sample counts of every row, one vector per site set, filled
+    by :meth:`satellite_active_fractions`; an instance attached to a shared
     segment starts with it empty.
     """
 
-    def __init__(self, packed: np.ndarray, n_times: int, grid: TimeGrid) -> None:
+    def __init__(
+        self,
+        packed: np.ndarray,
+        n_times: int,
+        grid: TimeGrid,
+        fleet: Optional[np.ndarray] = None,
+        pool_size: Optional[int] = None,
+    ) -> None:
         if packed.ndim != 3 or packed.dtype != np.uint8:
             raise ValueError("packed must be a (S, N, ceil(T/8)) uint8 array")
         if packed.shape[2] * 8 < n_times:
             raise ValueError("packed array too short for n_times")
+        if fleet is not None and fleet.size != packed.shape[1]:
+            raise ValueError("fleet must name one pool index per row")
         self.packed = packed
-        self.n_times = n_times
+        self.n_times = int(n_times)
         self.grid = grid
+        self.fleet = fleet
+        self.pool_size = packed.shape[1] if pool_size is None else int(pool_size)
+        self._reset_local_state()
+
+    def __getstate__(self):
+        # The segment and the activity table are process-local: a pickled
+        # copy carries the arrays by value and starts cold.
+        state = dict(self.__dict__)
+        del state["segment"], state["activity"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._reset_local_state()
+
+    def _reset_local_state(self) -> None:
         self.segment = None  # Owned shared-memory segment, when shm-backed.
         self.activity = kernels.ActivityTable(
-            packed.shape[0], "visibility.activity_table"
+            self.packed.shape[0], "visibility.activity_table"
         )
 
     @property
@@ -280,31 +300,45 @@ class PackedVisibility:
 
     @property
     def n_satellites(self) -> int:
+        """Satellite rows held (the fleet size when restricted)."""
         return self.packed.shape[1]
 
-    @staticmethod
-    def _as_index_array(indices) -> np.ndarray:
-        """Normalize a selection to an integer index array.
+    def share_state(self):
+        """``(arrays, scalars)``: the constructor arguments that rebuild
+        this world, split into what shared memory holds and the rest."""
+        arrays = {"packed": self.packed}
+        if self.fleet is not None:
+            arrays["fleet"] = self.fleet
+        return arrays, {
+            "n_times": self.n_times, "grid": self.grid, "pool_size": self.pool_size,
+        }
 
-        A plain empty list arrives as a float64 array, which numpy rejects
-        as an index; coerce empty selections to an integer dtype so "select
-        nothing" is a valid (zero-result) query rather than an IndexError.
-        """
-        array = np.asarray(indices)
-        if array.size == 0:
-            return np.empty(0, dtype=np.intp)
-        return array
+    def _rows(self, sat_indices) -> np.ndarray:
+        return kernels.fleet_rows(sat_indices, self.fleet, self.pool_size)
+
+    def _site(self, site_index) -> int:
+        return int(kernels.index_array([site_index], self.n_sites, "site")[0])
 
     def _subset(self, sat_indices) -> np.ndarray:
         if sat_indices is None:
             return self.packed
-        return self.packed[:, self._as_index_array(sat_indices), :]
+        return self.packed[:, self._rows(sat_indices), :]
+
+    def restrict(self, fleet) -> "PackedVisibility":
+        """A compact copy holding only the rows of ``fleet`` (pool indices).
+
+        The copy answers every query on pool indices drawn from the fleet
+        with the exact bits this tensor gives: its rows are the same bytes.
+        """
+        fleet = kernels.as_fleet(fleet, self.pool_size)
+        rows = np.ascontiguousarray(self.packed[:, self._rows(fleet), :])
+        return PackedVisibility(rows, self.n_times, self.grid, fleet, self.pool_size)
 
     def site_mask(self, site_index: int, sat_indices=None) -> np.ndarray:
         """Boolean coverage mask (T,) of one site under a satellite subset."""
-        rows = self.packed[site_index]
+        rows = self.packed[self._site(site_index)]
         if sat_indices is not None:
-            rows = rows[self._as_index_array(sat_indices)]
+            rows = rows[self._rows(sat_indices)]
         if rows.shape[0] == 0:
             return np.zeros(self.n_times, dtype=bool)
         packed_or = np.bitwise_or.reduce(rows, axis=0)
@@ -326,15 +360,30 @@ class PackedVisibility:
         counts = kernels.or_popcount(rows, axis=1)
         return counts / float(self.n_times)
 
+    def visible_counts(self, site_index: int, sat_indices=None) -> np.ndarray:
+        """Per-step visible-satellite counts (T,) at one site."""
+        rows = self.packed[self._site(site_index)]
+        if sat_indices is not None:
+            rows = rows[self._rows(sat_indices)]
+        bits = np.unpackbits(rows, axis=1)[:, : self.n_times]
+        return bits.sum(axis=0, dtype=np.int64)
+
+    def k_coverage_fraction(self, site_index: int, k: int, sat_indices=None) -> float:
+        """Fraction of steps with >= k subset satellites visible at a site."""
+        counts = self.visible_counts(site_index, sat_indices)
+        if self.n_times == 0:
+            return 0.0
+        return float(np.count_nonzero(counts >= int(k)) / self.n_times)
+
     def _subset2(self, sat_indices, site_indices) -> np.ndarray:
         """Rows of the selected sites and satellites, gathered in one step
         (gathering either axis first would copy rows the other drops)."""
         if site_indices is None:
             return self._subset(sat_indices)
-        sites = self._as_index_array(site_indices)
+        sites = kernels.index_array(site_indices, self.n_sites, "site")
         if sat_indices is None:
             return self.packed[sites]
-        return self.packed[np.ix_(sites, self._as_index_array(sat_indices))]
+        return self.packed[np.ix_(sites, self._rows(sat_indices))]
 
     def satellite_active_fractions(
         self, sat_indices=None, site_indices=None
@@ -347,15 +396,16 @@ class PackedVisibility:
         fraction is zero.
 
         A satellite's count does not depend on the rest of the subset, so
-        the first query per site set counts every satellite in the pool
-        (:attr:`activity`) and each query gathers its satellites' counts.
+        the first query per site set counts every row (:attr:`activity`)
+        and each query gathers its satellites' counts.
         """
+        rows = None if sat_indices is None else self._rows(sat_indices)
         counts = self.activity.lookup(
             site_indices,
             lambda sites: kernels.active_sample_counts(self.packed, sites),
         )
-        if sat_indices is not None:
-            counts = counts[self._as_index_array(sat_indices)]
+        if rows is not None:
+            counts = counts[rows]
         return counts / float(self.n_times)
 
     def satellite_masks(self, sat_indices=None, site_indices=None) -> np.ndarray:
@@ -375,28 +425,18 @@ def packed_visibility(
     chunk_size: Optional[int] = None,
     geometry: Optional[SiteGeometry] = None,
     cull: bool = True,
-    out: Optional[np.ndarray] = None,
 ) -> PackedVisibility:
     """Compute a :class:`PackedVisibility` for a pool of satellites.
 
     Streams: one (S, N, chunk) slab is packed at a time, so peak memory is
     the packed result plus O(S·N·chunk) transients — the full boolean
-    tensor is never held.  The chunk size defaults to
-    :data:`DEFAULT_CHUNK_SIZE` (wide), not the adaptive streaming default:
-    the packed tensor is a long-lived cache whose thousands of downstream
-    gather-heavy reductions are measurably (~2x on Fig. 3) faster when the
-    build's transients are few and large — small-chunk builds leave the
-    process allocator in a regime where every big reduction temporary is
-    freshly mapped and page-faulted.  Either way the chunk is rounded down
-    to a multiple of 8 so chunks pack cleanly; the final partial chunk is
-    zero-padded (padding bits read "not visible").
+    tensor is never held.  The chunk size defaults to the adaptive
+    :func:`repro.sim.kernels.default_chunk_size` like every other stream,
+    rounded down to a multiple of 8 so chunks pack cleanly; the final
+    partial chunk is zero-padded (padding bits read "not visible").
 
-    ``geometry`` reuses a cached :class:`SiteGeometry`; ``out`` packs into
-    preallocated uint8 storage (e.g. a shared-memory view — see
-    :func:`repro.runner.shared.ensure_shared_visibility`).
+    ``geometry`` reuses a cached :class:`SiteGeometry`.
     """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
     if geometry is None:
         geometry = SiteGeometry(sites, grid)
     plan = kernels.plan_stream(
@@ -407,5 +447,4 @@ def packed_visibility(
         cull=cull,
         pack=True,
     )
-    packed = kernels.stream_packed_bits(plan, out=out)
-    return PackedVisibility(packed, grid.count, grid)
+    return PackedVisibility(kernels.stream_packed_bits(plan), grid.count, grid)

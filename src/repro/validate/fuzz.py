@@ -29,11 +29,21 @@ The invariants are physics the figures silently rely on:
   endpoints, full-horizon contacts, empty sets): normalization,
   De Morgan / complement identities, inclusion-exclusion, and
   sample-membership against a brute-force point-in-interval loop.
-* ``intervals_shm_roundtrip`` — exporting a random
-  :class:`~repro.sim.intervals.ContactIntervals` into shared memory and
-  attaching it back is bit-exact (offsets, times, flags), zero-copy
-  (attached arrays are segment views), and a pickled copy never carries
-  a process-local segment handle.
+* ``intervals_shm_roundtrip`` — sharing a random world of each engine (a
+  :class:`~repro.sim.intervals.ContactIntervals` window soup and a
+  :class:`~repro.sim.visibility.PackedVisibility` bit tensor) through
+  :func:`repro.runner.shared.share_world` and attaching it back is
+  bit-exact (every array, dtype and scalar), zero-copy (attached arrays
+  are segment views), a pickled copy never carries a process-local
+  segment handle, and ``context.clear()`` unlinks the segment.
+* ``world_contract`` — the two world classes answer one query contract.
+  A random bit tensor and its exact window twin (each visible run of
+  samples becomes one window) are queried with random selections —
+  unsorted, repeated, empty, negative, out-of-range, non-integer and
+  out-of-fleet — pool-wide and through random ``restrict()`` chains.
+  Both engines must return the same shapes and values or raise the same
+  exception type, and every restricted answer must equal the pool-wide
+  answer of the same engine bit for bit.
 """
 
 from __future__ import annotations
@@ -284,13 +294,10 @@ def invariant_interval_algebra(rng: np.random.Generator) -> None:
     ), "intersect does not sample as AND"
 
 
-def invariant_intervals_shm_roundtrip(rng: np.random.Generator) -> None:
-    import pickle
-
-    from repro.runner.shared import (
-        attach_contact_intervals,
-        share_contact_intervals,
-    )
+def _random_contacts(rng: np.random.Generator):
+    """A random CSR window soup: per-pair counts from 0 (including the
+    all-empty contacts that exercise the 1-byte-segment guard) with sorted
+    rises and random truncation flags."""
     from repro.sim.intervals import ContactIntervals
 
     n_sites = int(rng.integers(1, 5))
@@ -298,10 +305,6 @@ def invariant_intervals_shm_roundtrip(rng: np.random.Generator) -> None:
     start_s = float(rng.uniform(-1_000.0, 1_000.0))
     span = float(rng.uniform(10.0, 100_000.0))
     end_s = start_s + span
-
-    # A random CSR window soup: per-pair counts from 0 (including the
-    # all-empty contacts that exercise the 1-byte-segment guard) with
-    # sorted rises and random truncation flags.
     counts = rng.integers(0, 5, size=n_sites * n_sats)
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     total = int(offsets[-1])
@@ -312,7 +315,7 @@ def invariant_intervals_shm_roundtrip(rng: np.random.Generator) -> None:
         pair_rises = np.sort(rng.uniform(start_s, end_s, size=hi - lo))
         rises[lo:hi] = pair_rises
         sets[lo:hi] = pair_rises + rng.uniform(0.0, span / 10.0, size=hi - lo)
-    contacts = ContactIntervals(
+    return ContactIntervals(
         n_sites=n_sites,
         n_satellites=n_sats,
         start_s=start_s,
@@ -324,44 +327,228 @@ def invariant_intervals_shm_roundtrip(rng: np.random.Generator) -> None:
         pair_offsets=offsets,
     )
 
-    segment, handle = share_contact_intervals(contacts)
-    try:
-        attached_segment, attached = attach_contact_intervals(handle)
+
+def _random_bits(rng: np.random.Generator):
+    """A random (sites, satellites, samples) visibility tensor and its grid."""
+    step = float(rng.integers(1, 601))
+    n_times = int(rng.integers(1, 41))
+    grid = TimeGrid(duration_s=n_times * step, step_s=step)
+    shape = (int(rng.integers(1, 5)), int(rng.integers(1, 8)), n_times)
+    return rng.random(shape) < float(rng.uniform(0.0, 0.6)), grid
+
+
+def invariant_intervals_shm_roundtrip(rng: np.random.Generator) -> None:
+    import pickle
+
+    from repro.experiments.common import ExperimentConfig, ExperimentContext
+    from repro.runner.shared import attach_world, share_world
+    from repro.sim.visibility import PackedVisibility
+
+    bits, grid = _random_bits(rng)
+    worlds = (
+        ("intervals", _random_contacts(rng)),
+        ("grid", PackedVisibility(np.packbits(bits, axis=2), grid.count, grid)),
+    )
+    config = ExperimentConfig()
+    for engine, world in worlds:
+        arrays, scalars = world.share_state()
+        originals = {name: array.copy() for name, array in arrays.items()}
+        context = ExperimentContext(engine=engine)
+        context.install_world(config, world)
         try:
-            assert attached.n_sites == contacts.n_sites
-            assert attached.n_satellites == contacts.n_satellites
-            assert attached.start_s == contacts.start_s
-            assert attached.end_s == contacts.end_s
-            for name in (
-                "rise_s",
-                "set_s",
-                "pair_offsets",
-                "truncated_start",
-                "truncated_end",
-            ):
-                original = getattr(contacts, name)
-                roundtrip = getattr(attached, name)
-                assert roundtrip.dtype == original.dtype, (
-                    f"{name}: dtype {roundtrip.dtype} != {original.dtype}"
+            handle = share_world(context, config)
+            attached_segment, attached = attach_world(handle)
+            try:
+                assert type(attached) is type(world)
+                shared_arrays, shared_scalars = attached.share_state()
+                assert shared_scalars == scalars, (
+                    f"{engine}: scalars changed across the segment round-trip"
                 )
-                assert np.array_equal(roundtrip, original), (
-                    f"{name}: values changed across the segment round-trip"
-                )
-                assert roundtrip.base is not None, (
-                    f"{name}: attached array is a copy, not a segment view"
-                )
-            # A pickled copy must carry the values intact and never the
-            # process-local segment handle.
-            clone = pickle.loads(pickle.dumps(attached))
-            assert clone.segment is None, "pickled contacts kept a segment"
-            assert np.array_equal(clone.rise_s, contacts.rise_s)
-            assert np.array_equal(clone.pair_offsets, contacts.pair_offsets)
+                assert set(shared_arrays) == set(originals)
+                for name, original in originals.items():
+                    for side, roundtrip in (
+                        ("attached", shared_arrays[name]),
+                        ("owner", getattr(world, name)),
+                    ):
+                        assert roundtrip.dtype == original.dtype, (
+                            f"{engine} {side} {name}: dtype "
+                            f"{roundtrip.dtype} != {original.dtype}"
+                        )
+                        assert np.array_equal(roundtrip, original), (
+                            f"{engine} {side} {name}: values changed across "
+                            f"the segment round-trip"
+                        )
+                        assert roundtrip.base is not None, (
+                            f"{engine} {side} {name}: array is a copy, "
+                            f"not a segment view"
+                        )
+                # A pickled copy must carry the values intact and never the
+                # process-local segment handle.
+                for side, source in (("attached", attached), ("owner", world)):
+                    clone = pickle.loads(pickle.dumps(source))
+                    assert clone.segment is None, (
+                        f"{engine}: pickled {side} world kept a segment"
+                    )
+                    clone_arrays, _ = clone.share_state()
+                    for name, original in originals.items():
+                        assert np.array_equal(clone_arrays[name], original), (
+                            f"{engine}: pickled {side} {name} changed"
+                        )
+            finally:
+                del attached
+                attached_segment.close()
         finally:
-            del attached
-            attached_segment.close()
-    finally:
-        segment.close()
-        segment.unlink()
+            context.clear()
+        assert world.segment is None, f"{engine}: clear() kept the segment"
+        try:
+            attach_world(handle)[0].close()
+        except FileNotFoundError:
+            pass
+        else:
+            raise AssertionError(f"{engine}: segment outlived context.clear()")
+
+
+def _window_twin(bits: np.ndarray, grid: TimeGrid):
+    """The ContactIntervals whose windows are exactly the visible runs of
+    ``bits`` (sample k covers ``[k * step, (k + 1) * step)``)."""
+    from repro.sim.intervals import ContactIntervals
+
+    n_sites, n_sats, n_times = bits.shape
+    padded = np.zeros((n_sites * n_sats, n_times + 2), dtype=np.int8)
+    padded[:, 1:-1] = bits.reshape(n_sites * n_sats, n_times)
+    edges = np.diff(padded, axis=1)
+    pair_r, rise_k = np.nonzero(edges == 1)
+    _, set_k = np.nonzero(edges == -1)
+    offsets = np.zeros(n_sites * n_sats + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_r, minlength=n_sites * n_sats), out=offsets[1:])
+    return ContactIntervals(
+        n_sites=n_sites,
+        n_satellites=n_sats,
+        start_s=grid.start_s,
+        end_s=grid.start_s + n_times * grid.step_s,
+        rise_s=grid.start_s + grid.step_s * rise_k.astype(np.float64),
+        set_s=grid.start_s + grid.step_s * set_k.astype(np.float64),
+        truncated_start=rise_k == 0,
+        truncated_end=set_k == n_times,
+        pair_offsets=offsets,
+    )
+
+
+def _draw_selection(rng: np.random.Generator, members: np.ndarray, size: int):
+    """A random satellite or site selection: None, empty, valid ``members``
+    (unsorted, repeated), or a few members plus one bad index (negative,
+    past ``size``, non-integer, or valid but outside ``members``)."""
+    kind = int(rng.integers(0, 9))
+    if kind == 0 or (members.size == 0 and kind < 4):
+        return None
+    if kind == 1:
+        return [] if rng.random() < 0.5 else np.empty(0)
+    if kind in (2, 3):
+        return rng.choice(members, size=int(rng.integers(1, 2 * members.size + 1)))
+    count = int(rng.integers(0, 3)) if members.size else 0
+    selection = [int(i) for i in rng.choice(members, size=count)]
+    absent = np.setdiff1d(np.arange(size), members)
+    if kind == 4:
+        bad = -int(rng.integers(1, size + 2))
+    elif kind == 5:
+        bad = size + int(rng.integers(0, 3))
+    elif kind == 6:
+        return np.asarray(selection + [0.5])
+    elif kind == 7 and absent.size:
+        bad = int(rng.choice(absent))
+    else:
+        return selection
+    selection.insert(int(rng.integers(0, len(selection) + 1)), bad)
+    return selection
+
+
+def _outcome(call):
+    """``("ok", value)`` or ``("raise", exception type)``."""
+    try:
+        return "ok", call()
+    except Exception as error:  # The exception type is the outcome.
+        return "raise", type(error)
+
+
+def _alike(label: str, outcomes, same) -> bool:
+    """Assert both engines returned ``same`` values or raised the same
+    exception type; True when they returned."""
+    (grid_kind, grid_got), (int_kind, int_got) = (
+        outcomes["grid"], outcomes["intervals"]
+    )
+    assert grid_kind == int_kind and (
+        grid_got is int_got if grid_kind == "raise" else same(grid_got, int_got)
+    ), f"{label} differs across engines: {outcomes}"
+    return grid_kind == "ok"
+
+
+def _equal_answers(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+def _same_fleet(a, b) -> bool:
+    return np.array_equal(a.fleet, b.fleet)
+
+
+def invariant_world_contract(rng: np.random.Generator) -> None:
+    from repro.sim.visibility import PackedVisibility
+
+    bits, grid = _random_bits(rng)
+    n_sites, pool_size, _ = bits.shape
+    sites = np.arange(n_sites)
+    # Per engine, a restrict() chain of (world, its fleet) pairs.
+    chains = {
+        "grid": [PackedVisibility(np.packbits(bits, axis=2), grid.count, grid)],
+        "intervals": [_window_twin(bits, grid)],
+    }
+    fleets = [np.arange(pool_size)]
+    for _ in range(int(rng.integers(1, 3))):
+        fleet = _draw_selection(rng, fleets[-1], pool_size)
+        if fleet is None:
+            fleet = fleets[-1]
+        outcomes = {
+            engine: _outcome(lambda w=chain[-1]: w.restrict(fleet))
+            for engine, chain in chains.items()
+        }
+        if not _alike(f"restrict({fleet!r})", outcomes, _same_fleet):
+            break
+        for engine, chain in chains.items():
+            chain.append(outcomes[engine][1])
+        fleets.append(chains["grid"][-1].fleet)
+
+    queries = (
+        ("coverage_fractions",
+         lambda w, sats, site_set, site: w.coverage_fractions(sats)),
+        ("satellite_active_fractions",
+         lambda w, sats, site_set, site: w.satellite_active_fractions(sats, site_set)),
+        ("k_coverage_fraction",
+         lambda w, sats, site_set, site: w.k_coverage_fraction(site, 1 + site % 2, sats)),
+    )
+    for level, fleet in enumerate(fleets):
+        for _ in range(6):
+            sats = _draw_selection(rng, fleet, pool_size)
+            site_set = _draw_selection(rng, sites, n_sites)
+            site = int(rng.integers(-1, n_sites + 1))
+            # A restricted world's "every satellite" is its fleet.
+            pool_sats = fleet if sats is None else sats
+            for name, query in queries:
+                label = f"{name}(sats={sats!r}, sites={site_set!r}, site={site})"
+                outcomes = {
+                    engine: _outcome(
+                        lambda w=chain[level]: query(w, sats, site_set, site)
+                    )
+                    for engine, chain in chains.items()
+                }
+                if not _alike(label, outcomes, _equal_answers):
+                    continue
+                # Restricted answers are the pool-wide answers, bit for bit.
+                for engine, chain in chains.items():
+                    pool_kind, pool_got = _outcome(
+                        lambda w=chain[0]: query(w, pool_sats, site_set, site)
+                    )
+                    assert pool_kind == "ok" and _equal_answers(
+                        pool_got, outcomes[engine][1]
+                    ), f"{engine} level {level} {label}: pool-wide {pool_got!r}"
 
 
 #: Registered invariants in a stable order (the index is the spawn key).
@@ -376,6 +563,7 @@ INVARIANTS: Dict[str, Invariant] = {
     "kepler_wrap": invariant_kepler_wrap,
     "interval_algebra": invariant_interval_algebra,
     "intervals_shm_roundtrip": invariant_intervals_shm_roundtrip,
+    "world_contract": invariant_world_contract,
 }
 
 

@@ -47,8 +47,8 @@ class TestVisibilityCacheKeying:
         context = ExperimentContext()
         config = ExperimentConfig(step_s=900.0, duration_s=86400.0)
         sentinel = object()
-        context.install_visibility(config, sentinel, pool_seed=2)
-        cached = context.cached_visibility()
+        context.install_world(config, sentinel, pool_seed=2)
+        cached = context.cached_worlds()
         assert cached[visibility_cache_key(config, 2)] is sentinel
         # A different pool seed does not see the installed tensor.
         assert visibility_cache_key(config, 0) not in cached
@@ -58,8 +58,8 @@ class TestContextLifetime:
     def test_contexts_are_isolated(self):
         first, second = ExperimentContext(), ExperimentContext()
         config = ExperimentConfig(step_s=900.0)
-        first.install_visibility(config, object())
-        assert second.cached_visibility() == {}
+        first.install_world(config, object())
+        assert second.cached_worlds() == {}
 
     def test_clear_releases_entries(self):
         """clear() must actually free the tensors, not just forget the keys."""
@@ -71,13 +71,13 @@ class TestContextLifetime:
 
         tensor = Tensor()
         ref = weakref.ref(tensor)
-        context.install_visibility(config, tensor)
+        context.install_world(config, tensor)
         del tensor
         assert ref() is not None  # The cache keeps it alive...
         context.clear()
         gc.collect()
         assert ref() is None  # ...and clear() lets it go.
-        assert context.cached_visibility() == {}
+        assert context.cached_worlds() == {}
 
     def test_clear_releases_pools(self):
         context = ExperimentContext()
@@ -89,9 +89,9 @@ class TestContextLifetime:
     def test_module_clear_caches_clears_default_context(self):
         config = ExperimentConfig(step_s=900.0)
         sentinel = object()
-        common.default_context().install_visibility(config, sentinel)
+        common.default_context().install_world(config, sentinel)
         common.clear_caches()
-        assert common.default_context().cached_visibility() == {}
+        assert common.default_context().cached_worlds() == {}
 
 
 class TestCityWeightCache:
@@ -121,7 +121,7 @@ class TestCityWeightCache:
         expected = float(
             common.city_weights() @ fractions[list(common.CITY_INDICES)]
         )
-        got = common.weighted_city_coverage_fraction(stub, np.arange(3))
+        got = common.weighted_city_coverage(stub, np.arange(3))
         assert got == pytest.approx(expected)
         # Taipei (site 0) carries zero coverage in the stub, so any leak of
         # the non-city row would lower the weighted value.

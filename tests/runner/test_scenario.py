@@ -47,15 +47,18 @@ class TestRunContext:
         assert ctx.pool_size() == len(context.pool())
 
     def test_visibility_reads_installed_tensor(self):
-        """An installed tensor (the parallel-worker path) is what kernels see."""
-        context = ExperimentContext()
-        sentinel = object()
-        context.install_visibility(CONFIG, sentinel)
-        ctx = RunContext(
-            config=CONFIG, context=context, point=10, point_index=0,
-            run_index=0, rng=run_rng(7, 0, 0, 0),
-        )
-        assert ctx.visibility() is sentinel
+        """An installed world (the parallel-worker path) is what kernels
+        see, on either engine."""
+        for engine in ("grid", "intervals"):
+            context = ExperimentContext(engine=engine)
+            sentinel = object()
+            context.install_world(CONFIG, sentinel)
+            ctx = RunContext(
+                config=CONFIG, context=context, point=10, point_index=0,
+                run_index=0, rng=run_rng(7, 0, 0, 0),
+            )
+            assert ctx.world() is sentinel
+            assert ctx.subset_query() is sentinel
 
 
 class TestScenarioDefaults:

@@ -357,6 +357,17 @@ def _tied_contacts(seed: int, n_sites: int = 5, n_sats: int = 9) -> ContactInter
     )
 
 
+def _shared(contacts):
+    """Share ``contacts`` through a throwaway context: (context, handle)."""
+    from repro.experiments.common import ExperimentConfig, ExperimentContext
+    from repro.runner.shared import share_world
+
+    config = ExperimentConfig(step_s=900.0)
+    context = ExperimentContext(engine="intervals")
+    context.install_world(config, contacts)
+    return context, share_world(context, config)
+
+
 def _gather_with_rows(contacts, pair_ids):
     """The windows of ``pair_ids`` plus the row each one came from."""
     counts = np.diff(contacts.pair_offsets)[pair_ids]
@@ -432,15 +443,15 @@ class TestPresortedStreams:
         for local in ([], [0, 4], [3, 1, 1], [4, 3, 2, 1, 0]):
             pool = fleet[np.asarray(local, dtype=np.intp)]
             assert np.array_equal(
-                restricted.coverage_fractions(local),
+                restricted.coverage_fractions(pool),
                 contacts.coverage_fractions(pool),
             )
             assert np.array_equal(
-                restricted.coverage_fractions(local),
+                restricted.coverage_fractions(pool),
                 _one_shot_coverage(contacts, pool),
             )
             assert np.array_equal(
-                restricted.satellite_active_fractions(local, [0, 3]),
+                restricted.satellite_active_fractions(pool, [0, 3]),
                 _one_shot_active(contacts, pool, [0, 3]),
             )
 
@@ -479,19 +490,15 @@ class TestPresortedStreams:
         assert np.array_equal(copy.coverage_fractions([0, 3, 5]), want)
 
     def test_shared_memory_copy_starts_cold(self):
-        from repro.runner.shared import (
-            attach_contact_intervals,
-            share_contact_intervals,
-            unlink_shared_visibility,
-        )
+        from repro.runner.shared import attach_world
 
         contacts = _tied_contacts(5)
         subsets = ([0, 3, 5], [8, 8, 1], list(range(9)))
         coverage = [contacts.coverage_fractions(s) for s in subsets]
         active = [contacts.satellite_active_fractions(s, [0, 4]) for s in subsets]
-        segment, handle = share_contact_intervals(contacts)
+        context, handle = _shared(contacts)
         try:
-            attached_segment, attached = attach_contact_intervals(handle)
+            attached_segment, attached = attach_world(handle)
             try:
                 assert attached.streams == {}
                 for subset, want_cov, want_act in zip(subsets, coverage, active):
@@ -506,7 +513,7 @@ class TestPresortedStreams:
                 del attached
                 attached_segment.close()
         finally:
-            unlink_shared_visibility(segment)
+            context.clear()
 
 
 class TestActivityTable:
@@ -586,7 +593,7 @@ class TestActivityTable:
         for local in ([], [0, 4], [3, 1, 1]):
             pool = fleet[np.asarray(local, dtype=np.intp)]
             assert np.array_equal(
-                restricted.satellite_active_fractions(local, [3, 0]),
+                restricted.satellite_active_fractions(pool, [3, 0]),
                 self._want(contacts, pool, [0, 3]),
             )
 
@@ -604,17 +611,13 @@ class TestActivityTable:
         assert np.array_equal(copy.satellite_active_fractions([1, 2], [4, 0]), want)
 
     def test_shared_memory_copy_starts_cold(self):
-        from repro.runner.shared import (
-            attach_contact_intervals,
-            share_contact_intervals,
-            unlink_shared_visibility,
-        )
+        from repro.runner.shared import attach_world
 
         contacts = _tied_contacts(6)
         want = contacts.satellite_active_fractions([7, 0, 7], [2, 4])
-        segment, handle = share_contact_intervals(contacts)
+        context, handle = _shared(contacts)
         try:
-            attached_segment, attached = attach_contact_intervals(handle)
+            attached_segment, attached = attach_world(handle)
             try:
                 assert len(attached.activity.vectors) == 0
                 assert np.array_equal(
@@ -625,7 +628,7 @@ class TestActivityTable:
                 del attached
                 attached_segment.close()
         finally:
-            unlink_shared_visibility(segment)
+            context.clear()
 
 
 class TestUnitPositionsAt:
@@ -656,3 +659,93 @@ class TestUnitPositionsAt:
             np.testing.assert_allclose(
                 units[row], full_units[n, t], atol=1e-9
             )
+
+
+class TestIndexValidation:
+    """A negative or out-of-range site or satellite raises IndexError; it
+    never wraps or reads another site's windows (9 satellites, 5 sites)."""
+
+    BAD_SATS = ([-1], [9], [0, -3], [2, 100])
+    BAD_SITES = ([-1], [5], [0, -2])
+
+    @pytest.mark.parametrize("sats", BAD_SATS)
+    def test_bad_satellites_raise(self, sats):
+        contacts = _tied_contacts(0)
+        calls = (
+            lambda: contacts.contact_count(sat_indices=sats),
+            lambda: contacts.site_union(2, sats),
+            lambda: contacts.coverage_fractions(sats),
+            lambda: contacts.satellite_active_fractions(sats),
+            lambda: contacts.satellite_active_fractions(sats, [0, 2]),
+            lambda: contacts.visible_count_steps(0, sats),
+            lambda: contacts.k_coverage_fraction(0, 1, sats),
+            lambda: contacts.sample_counts([0.0, 60.0], 0, sats),
+            lambda: contacts.satellite_union(sats[-1]),
+            lambda: contacts.pair(0, sats[-1]),
+            lambda: contacts.pair_count(0, sats[-1]),
+            lambda: contacts.pair_truncation(0, sats[-1]),
+            lambda: contacts.pair_windows(0, sats[-1]),
+            lambda: contacts.restrict(sats),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+    @pytest.mark.parametrize("sites", BAD_SITES)
+    def test_bad_sites_raise(self, sites):
+        contacts = _tied_contacts(0)
+        calls = (
+            lambda: contacts.contact_count(site_indices=sites),
+            lambda: contacts.satellite_active_fractions([0, 1], sites),
+            lambda: contacts.satellite_union(0, sites),
+            lambda: contacts.site_union(sites[-1], [0, 1]),
+            lambda: contacts.site_union(sites[-1], []),
+            lambda: contacts.k_coverage_fraction(sites[-1], 1),
+            lambda: contacts.pair(sites[-1], 0),
+            lambda: contacts.pair_windows(sites[-1], 0),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+    def test_zero_span_still_refuses_bad_sites(self):
+        contacts = ContactIntervals(
+            2, 3, 50.0, 50.0, np.zeros(0), np.zeros(0),
+            np.zeros(0, dtype=bool), np.zeros(0, dtype=bool),
+            np.zeros(7, dtype=np.int64),
+        )
+        with pytest.raises(IndexError):
+            contacts.satellite_active_fractions([0], [2])
+        with pytest.raises(IndexError):
+            contacts.k_coverage_fraction(-1, 1)
+
+    def test_valid_selections_keep_their_meaning(self):
+        contacts = _tied_contacts(0)
+        assert contacts.contact_count(sat_indices=[8]) >= 0
+        assert contacts.site_union(2, []).total_s == 0.0
+        assert np.array_equal(
+            contacts.coverage_fractions([8, 0, 8]),
+            contacts.coverage_fractions([0, 8]),
+        )
+        assert contacts.satellite_active_fractions([3, 3, 1]).shape == (3,)
+        assert contacts.coverage_fractions(np.array([], dtype=float)).shape == (5,)
+
+    def test_non_integer_selection_raises(self):
+        contacts = _tied_contacts(0)
+        with pytest.raises(IndexError):
+            contacts.coverage_fractions([0.0, 1.0])
+        with pytest.raises(IndexError):
+            contacts.coverage_fractions(np.array([True, False]))
+
+    def test_restricted_world_separates_bad_from_absent(self):
+        contacts = _tied_contacts(0)
+        restricted = contacts.restrict([1, 4, 6])
+        assert restricted.fleet.tolist() == [1, 4, 6]
+        assert restricted.pool_size == 9
+        with pytest.raises(KeyError):
+            restricted.coverage_fractions([1, 2])
+        for bad in ([-1], [9]):
+            with pytest.raises(IndexError):
+                restricted.coverage_fractions(bad)
+        with pytest.raises(ValueError):
+            contacts.restrict([3, 3])

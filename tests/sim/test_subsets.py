@@ -1,23 +1,24 @@
-"""Brute-force agreement tests for the subset-query batch kernels.
+"""Brute-force agreement tests for subset queries on restricted worlds.
 
-Both engines' subset queries (:class:`repro.sim.kernels.subsets.SubsetQuery`
-over packed bits, :class:`repro.sim.intervals.IntervalSubsetQuery` over CSR
-windows) are held to the same contract: for every subset — random, empty,
-or the full fleet — the query answers must be bit-identical to the
-underlying full structures' reductions, and to brute-force unpacked boolean
+Both engines' fleet-scoped worlds (:meth:`PackedVisibility.restrict` over
+packed bits, :meth:`ContactIntervals.restrict` over CSR windows) are held
+to the same contract: for every subset of pool indices — random, empty, or
+the full fleet — the restricted world's answers must be bit-identical to
+the pool-wide world's reductions, and to brute-force unpacked boolean
 arithmetic.  The fleet-scoped *build* paths (a streamed packed build / a
-CSR restriction) must match the gather-from-full paths bit for bit.
+contact search over the fleet only) must match the gather-from-full paths
+bit for bit, also through :meth:`ExperimentContext.subset_query`.
 """
 
 import numpy as np
 import pytest
 
+from repro.experiments.common import ExperimentConfig, ExperimentContext
 from repro.orbits.propagator import BatchPropagator
 from repro.sim.clock import TimeGrid
-from repro.sim.intervals import IntervalSubsetQuery, find_contact_intervals
+from repro.sim.intervals import find_contact_intervals
 from repro.sim.kernels import SiteGeometry
-from repro.sim.kernels.subsets import SubsetQuery, query_for_sites
-from repro.sim.visibility import packed_visibility
+from repro.sim.visibility import PackedVisibility, packed_visibility
 from repro.validate import gen
 
 N_SATELLITES = 24
@@ -59,7 +60,7 @@ class TestSubsetQueryGrid:
     def test_pool_wide_matches_packed_reductions(self, world):
         _, _, _, visibility, _ = world
         rng = np.random.default_rng(SEED)
-        query = SubsetQuery.from_visibility(visibility)
+        query = visibility.restrict(np.arange(N_SATELLITES))
         for subset in _subsets(rng, np.arange(N_SATELLITES)):
             np.testing.assert_array_equal(
                 query.coverage_fractions(subset),
@@ -74,7 +75,7 @@ class TestSubsetQueryGrid:
         _, _, _, visibility, _ = world
         rng = np.random.default_rng(SEED + 1)
         fleet = np.sort(rng.choice(N_SATELLITES, size=14, replace=False))
-        query = SubsetQuery.from_visibility(visibility, fleet)
+        query = visibility.restrict(fleet)
         dense = _dense_bits(query)  # (S, F, T) for the fleet
         for subset in _subsets(rng, fleet):
             local = np.searchsorted(fleet, subset)
@@ -100,7 +101,7 @@ class TestSubsetQueryGrid:
         _, _, _, visibility, _ = world
         rng = np.random.default_rng(SEED + 2)
         fleet = np.sort(rng.choice(N_SATELLITES, size=12, replace=False))
-        query = SubsetQuery.from_visibility(visibility, fleet)
+        query = visibility.restrict(fleet)
         dense = _dense_bits(query)
         subset = rng.choice(fleet, size=7, replace=False)
         local = np.searchsorted(fleet, subset)
@@ -118,35 +119,27 @@ class TestSubsetQueryGrid:
         propagator, sites, grid, visibility, _ = world
         rng = np.random.default_rng(SEED + 3)
         fleet = np.sort(rng.choice(N_SATELLITES, size=10, replace=False))
-        gathered = SubsetQuery.from_visibility(visibility, fleet)
+        gathered = visibility.restrict(fleet)
         geometry = SiteGeometry(sites, grid)
-        built = SubsetQuery.build(propagator, geometry, grid, fleet)
+        built = packed_visibility(propagator.subset(fleet), sites, grid, geometry=geometry)
         np.testing.assert_array_equal(built.packed, gathered.packed)
-
-    def test_site_restricted_view(self, world):
-        _, _, _, visibility, _ = world
-        query = SubsetQuery.from_visibility(visibility)
-        sliced = query_for_sites(query, [2, 0])
-        np.testing.assert_array_equal(
-            sliced.coverage_fractions(None),
-            query.coverage_fractions(None)[[2, 0]],
-        )
 
     def test_out_of_fleet_subset_rejected(self, world):
         _, _, _, visibility, _ = world
         fleet = np.arange(5)
-        query = SubsetQuery.from_visibility(visibility, fleet)
+        query = visibility.restrict(fleet)
         with pytest.raises(KeyError):
             query.coverage_fractions(np.array([3, 7]))
 
     def test_duplicate_fleet_rejected(self, world):
         _, _, _, visibility, _ = world
         with pytest.raises(ValueError):
-            SubsetQuery.from_visibility(visibility, np.array([1, 1, 2]))
+            visibility.restrict(np.array([1, 1, 2]))
 
 
 class TestActivityTable:
-    """SubsetQuery's per-site-set activity table against unpacked booleans."""
+    """A restricted tensor's per-site-set activity table against unpacked
+    booleans."""
 
     FLEET = np.array([2, 5, 6, 11, 13, 17, 20])
     SUBSETS = (None, [], [13], [20, 2, 11], [6, 6, 17, 6], list(FLEET))
@@ -155,9 +148,11 @@ class TestActivityTable:
     @classmethod
     def _query(cls, seed):
         rng = np.random.default_rng(seed)
-        n_times = 53
-        dense = rng.random((N_SITES, cls.FLEET.size, n_times)) < 0.12
-        query = SubsetQuery(np.packbits(dense, axis=2), n_times, cls.FLEET)
+        grid = TimeGrid(duration_s=52 * 60.0, step_s=60.0)
+        dense = rng.random((N_SITES, cls.FLEET.size, grid.count)) < 0.12
+        query = PackedVisibility(
+            np.packbits(dense, axis=2), grid.count, grid, cls.FLEET, N_SATELLITES
+        )
         return query, dense
 
     @classmethod
@@ -212,7 +207,7 @@ class TestActivityTable:
 
     def test_pool_wide_query_matches_visibility(self, world):
         _, _, _, visibility, _ = world
-        query = SubsetQuery.from_visibility(visibility)
+        query = visibility.restrict(np.arange(N_SATELLITES))
         for sites in self.SITE_SETS:
             for subset in ([], [23, 0, 7], [4, 4, 19]):
                 np.testing.assert_array_equal(
@@ -220,22 +215,12 @@ class TestActivityTable:
                     visibility.satellite_active_fractions(subset, sites),
                 )
 
-    def test_site_restricted_view_starts_cold(self):
-        query, dense = self._query(4)
-        query.satellite_active_fractions(None, [0, 1])
-        sliced = query_for_sites(query, [3, 1])
-        assert len(sliced.activity.vectors) == 0
-        np.testing.assert_array_equal(
-            sliced.satellite_active_fractions([6, 20], [1]),
-            self._want(dense, [6, 20], [1]),
-        )
-
 
 class TestIntervalSubsetQuery:
     def test_pool_wide_matches_contacts_reductions(self, world):
         _, _, _, _, contacts = world
         rng = np.random.default_rng(SEED + 4)
-        query = IntervalSubsetQuery.from_contacts(contacts)
+        query = contacts.restrict(np.arange(N_SATELLITES))
         for subset in _subsets(rng, np.arange(N_SATELLITES)):
             np.testing.assert_array_equal(
                 query.coverage_fractions(subset),
@@ -252,7 +237,7 @@ class TestIntervalSubsetQuery:
         _, _, _, _, contacts = world
         rng = np.random.default_rng(SEED + 5)
         fleet = np.sort(rng.choice(N_SATELLITES, size=13, replace=False))
-        query = IntervalSubsetQuery.from_contacts(contacts, fleet)
+        query = contacts.restrict(fleet)
         for subset in _subsets(rng, fleet):
             np.testing.assert_array_equal(
                 query.coverage_fractions(subset),
@@ -282,11 +267,71 @@ class TestIntervalSubsetQuery:
 
     def test_out_of_fleet_subset_rejected(self, world):
         _, _, _, _, contacts = world
-        query = IntervalSubsetQuery.from_contacts(contacts, np.arange(5))
+        query = contacts.restrict(np.arange(5))
         with pytest.raises(KeyError):
             query.coverage_fractions(np.array([2, 9]))
 
     def test_duplicate_fleet_rejected(self, world):
         _, _, _, _, contacts = world
         with pytest.raises(ValueError):
-            IntervalSubsetQuery.from_contacts(contacts, np.array([0, 0]))
+            contacts.restrict(np.array([0, 0]))
+
+
+@pytest.mark.parametrize("engine", ["grid", "intervals"])
+class TestContextSubsetQuery:
+    """``ExperimentContext.subset_query`` hands out worlds: the cached world
+    itself pool-wide, its restriction when warm, a fleet-only build when
+    cold — and the last two answer bit for bit alike."""
+
+    CONFIG = ExperimentConfig(runs=1, step_s=900.0, duration_s=3600.0)
+    FLEET = np.arange(7, 4408, 61)
+
+    def test_pool_wide_is_the_world(self, engine):
+        context = ExperimentContext(engine=engine)
+        try:
+            world = context.world(self.CONFIG)
+            assert context.subset_query(self.CONFIG) is world
+        finally:
+            context.clear()
+
+    def test_cold_build_matches_warm_restriction(self, engine):
+        warm_context = ExperimentContext(engine=engine)
+        cold_context = ExperimentContext(engine=engine)
+        try:
+            world = warm_context.world(self.CONFIG)
+            warm = warm_context.subset_query(self.CONFIG, self.FLEET[::-1])
+            cold = cold_context.subset_query(self.CONFIG, self.FLEET)
+            assert cold_context.cached_worlds() == {}
+            assert warm_context.subset_query(self.CONFIG, self.FLEET) is warm
+            for query in (warm, cold):
+                assert type(query) is type(world)
+                assert query.fleet.tolist() == self.FLEET.tolist()
+                assert query.pool_size == world.n_satellites
+            arrays = ("packed",) if engine == "grid" else (
+                "rise_s", "set_s", "pair_offsets", "truncated_start", "truncated_end",
+            )
+            for name in arrays:
+                np.testing.assert_array_equal(getattr(warm, name), getattr(cold, name))
+            rng = np.random.default_rng(SEED)
+            for subset in _subsets(rng, self.FLEET):
+                want = world.coverage_fractions(subset)
+                np.testing.assert_array_equal(warm.coverage_fractions(subset), want)
+                np.testing.assert_array_equal(cold.coverage_fractions(subset), want)
+        finally:
+            warm_context.clear()
+            cold_context.clear()
+
+    def test_bad_fleets_rejected(self, engine):
+        context = ExperimentContext(engine=engine)
+        try:
+            with pytest.raises(ValueError):
+                context.subset_query(self.CONFIG, [3, 3])
+            with pytest.raises(IndexError):
+                context.subset_query(self.CONFIG, [-1, 4])
+            with pytest.raises(IndexError):
+                context.subset_query(self.CONFIG, [4408])
+            query = context.subset_query(self.CONFIG, [5, 9])
+            with pytest.raises(KeyError):
+                query.coverage_fractions([5, 6])
+        finally:
+            context.clear()

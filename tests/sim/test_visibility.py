@@ -385,17 +385,16 @@ class TestActivityTable:
                 assert np.array_equal(packed.satellite_masks(subset, sites), want)
 
     def test_shm_attached_copy_starts_cold(self):
-        from repro.runner.shared import (
-            attach_packed_visibility,
-            share_packed_visibility,
-            unlink_shared_visibility,
-        )
+        from repro.experiments.common import ExperimentConfig, ExperimentContext
+        from repro.runner.shared import attach_world, share_world
 
         packed, dense = _random_packed(6)
         want = packed.satellite_active_fractions([3, 8], [1, 2])
-        segment, handle = share_packed_visibility(packed)
+        config = ExperimentConfig(step_s=900.0)
+        context = ExperimentContext()
+        context.install_world(config, packed)
         try:
-            attached_segment, attached = attach_packed_visibility(handle)
+            attached_segment, attached = attach_world(share_world(context, config))
             try:
                 assert len(attached.activity.vectors) == 0
                 assert np.array_equal(
@@ -403,9 +402,10 @@ class TestActivityTable:
                 )
                 assert len(attached.activity.vectors) == 1
             finally:
+                del attached
                 attached_segment.close()
         finally:
-            unlink_shared_visibility(segment)
+            context.clear()
         assert len(packed.activity.vectors) == 1
         assert np.array_equal(want, _unpacked_active(dense, [3, 8], [1, 2]))
 
@@ -499,3 +499,62 @@ class TestChunkBoundaryIdentity:
         )
         assert np.array_equal(packed.site_masks(), dense.any(axis=1))
         assert np.array_equal(packed.satellite_masks(), dense.any(axis=0))
+
+
+class TestIndexValidation:
+    """The packed tensor refuses negative and out-of-range selections with
+    IndexError instead of wrapping them numpy-style."""
+
+    @pytest.mark.parametrize("sats", ([-1], [12], [0, -3]))
+    def test_bad_satellites_raise(self, sats):
+        packed, _ = _random_packed(1)
+        calls = (
+            lambda: packed.site_mask(0, sats),
+            lambda: packed.site_masks(sats),
+            lambda: packed.coverage_fractions(sats),
+            lambda: packed.satellite_active_fractions(sats),
+            lambda: packed.satellite_active_fractions(sats, [0]),
+            lambda: packed.satellite_masks(sats, [0]),
+            lambda: packed.visible_counts(0, sats),
+            lambda: packed.k_coverage_fraction(0, 1, sats),
+            lambda: packed.restrict(sats),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+    @pytest.mark.parametrize("site", (-1, 5))
+    def test_bad_sites_raise(self, site):
+        packed, _ = _random_packed(1)
+        calls = (
+            lambda: packed.site_mask(site),
+            lambda: packed.site_mask(site, []),
+            lambda: packed.satellite_active_fractions([0], [site]),
+            lambda: packed.satellite_masks([0], [0, site]),
+            lambda: packed.k_coverage_fraction(site, 1),
+        )
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+    def test_restrict_is_a_row_gather_over_pool_indices(self):
+        packed, dense = _random_packed(2)
+        packed.satellite_active_fractions(None, [1, 3])
+        fleet = [9, 2, 5]
+        restricted = packed.restrict(fleet)
+        assert len(restricted.activity.vectors) == 0  # Starts cold.
+        assert restricted.fleet.tolist() == [2, 5, 9]
+        assert np.array_equal(restricted.packed, packed.packed[:, [2, 5, 9]])
+        for subset in ([], [5], [9, 2, 9]):
+            assert np.array_equal(
+                restricted.coverage_fractions(subset),
+                packed.coverage_fractions(subset),
+            )
+            assert np.array_equal(
+                restricted.satellite_active_fractions(subset, [1, 3]),
+                packed.satellite_active_fractions(subset, [1, 3]),
+            )
+        with pytest.raises(KeyError):
+            restricted.coverage_fractions([3])
+        with pytest.raises(ValueError):
+            packed.restrict([1, 1])

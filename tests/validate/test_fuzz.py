@@ -28,6 +28,7 @@ class TestHarnessMechanics:
             "kepler_wrap",
             "interval_algebra",
             "intervals_shm_roundtrip",
+            "world_contract",
         }
 
     def test_failures_are_collected_not_raised(self, monkeypatch):
